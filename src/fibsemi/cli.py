@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import fib_family
@@ -56,7 +55,6 @@ class RunConfig:
     format: str = "text"
     oracle_bound: int = DEFAULT_SWEEP_BOUND
     table_bound: int = DEFAULT_TABLE_BOUND
-    parallel: bool = False
 
 
 def _nonneg(text: str) -> int:
@@ -105,12 +103,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         table = _env_bound("TABLE_BOUND")
     if table is None:
         table = DEFAULT_TABLE_BOUND
-    return RunConfig(
-        format=args.format,
-        oracle_bound=oracle,
-        table_bound=table,
-        parallel=args.parallel,
-    )
+    return RunConfig(format=args.format, oracle_bound=oracle, table_bound=table)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--table-bound", type=_positive, default=None, metavar="N",
         help=f"largest residue table that will be materialized "
              f"(default {DEFAULT_TABLE_BOUND}, env {ENV_PREFIX}TABLE_BOUND)",
-    )
-    common.add_argument(
-        "--parallel", action="store_true",
-        help="evaluate independent parameters concurrently (output order is unchanged)",
     )
 
     parser = argparse.ArgumentParser(
@@ -204,35 +193,31 @@ def _write_json(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _write_kv_text(pairs: list[tuple[str, object]]) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for k, v in pairs:
-        print(f"{k.ljust(width)}  {_cell(v)}")
+def _write_record(fmt: str, record: dict, csv_fields: tuple[str, ...],
+                  text_keys: tuple[str, ...]) -> None:
+    """One record in ``fmt``: JSON in the record's own key order, CSV as a
+    header plus one row of ``csv_fields``, text as aligned label/value lines."""
+    if fmt == "json":
+        _write_json(record)
+    elif fmt == "csv":
+        _write_csv(csv_fields, [record])
+    else:
+        # text reports spell out the two abbreviated record keys
+        long = {"m": "multiplicity", "e": "embedding_dimension"}
+        labels = [long.get(k, k) for k in text_keys]
+        width = max(len(label) for label in labels)
+        for label, k in zip(labels, text_keys):
+            print(f"{label.ljust(width)}  {_cell(record[k])}")
 
 
 # -- subcommands -----------------------------------------------------------
 
 def cmd_info(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = fib_family.family_summary(args.a)
-    if cfg.format == "json":
-        payload = _record(s)
-        payload["generators"] = list(s.generators)
-        _write_json(payload)
-    elif cfg.format == "csv":
-        row = _record(s)
-        row["generators"] = s.generators
-        _write_csv(TABLE_FIELDS + ("generators",), [row])
-    else:
-        _write_kv_text([
-            ("a", s.a),
-            ("generators", s.generators),
-            ("multiplicity", s.multiplicity),
-            ("embedding_dimension", s.embedding_dimension),
-            ("frobenius", s.frobenius),
-            ("genus", s.genus),
-            ("n", s.n_count),
-            ("wilf_slack", s.wilf_slack),
-        ])
+    record = _record(s)
+    record["generators"] = s.generators
+    _write_record(cfg.format, record, TABLE_FIELDS + ("generators",),
+                  ("a", "generators", "m", "e", "frobenius", "genus", "n", "wilf_slack"))
     return EXIT_OK
 
 
@@ -254,13 +239,8 @@ def cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.a_min > args.a_max:
         raise InvalidRange(f"a_min {args.a_min} exceeds a_max {args.a_max}")
-    params = range(args.a_min, args.a_max + 1)
-    if cfg.parallel:
-        with ThreadPoolExecutor() as pool:
-            summaries = list(pool.map(fib_family.family_summary, params))
-    else:
-        summaries = [fib_family.family_summary(a) for a in params]
-    rows = [_record(s) for s in summaries]
+    rows = [_record(fib_family.family_summary(a))
+            for a in range(args.a_min, args.a_max + 1)]
     if cfg.format == "json":
         _write_json(rows)
     elif cfg.format == "csv":
@@ -287,31 +267,24 @@ class _VerifyOutcome:
 def _verify_one(a: int, cfg: RunConfig) -> _VerifyOutcome:
     """Run every check available for one parameter.
 
-    Closed forms are read through the module namespace so a perturbed
-    function is actually exercised.  A resource limit marks a check skipped,
-    never failed.
+    The record is ``family_summary``'s, which reads the closed forms through
+    the ``fib_family`` namespace, so a perturbed function is actually
+    exercised.  A resource limit marks a check skipped, never failed.
     """
     t0 = time.perf_counter()
-    gens = fib_family.family_generators(a)
-    m, e = gens[0], len(gens)
-    f = fib_family.family_frobenius(a)
-    g = fib_family.family_genus(a)
-    n = f + 1 - g
-    slack = e * n - (f + 1)
+    s = fib_family.family_summary(a)
+    gens, m, f, g, n = s.generators, s.multiplicity, s.frobenius, s.genus, s.n_count
     fa = fib(a)
-    out = _VerifyOutcome(a=a, record={
-        "a": a, "m": m, "e": e, "frobenius": f, "genus": g,
-        "n": n, "wilf_slack": slack,
-    })
+    out = _VerifyOutcome(a=a, record=_record(s))
 
     def check(label: str, ok: bool) -> None:
         if not ok:
             out.failures.append(label)
 
     check("genus-binomial-sum", g == fib_family.family_genus_sum(a))
-    check("frobenius-via-e-m", f == (e // 2) * m - 1)
+    check("frobenius-via-e-m", f == (s.embedding_dimension // 2) * m - 1)
     check("n-count-nonnegative", n >= 0)
-    check("wilf-slack-nonnegative", slack >= 0)
+    check("wilf-slack-nonnegative", s.wilf_slack >= 0)
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
     if a <= 25:
@@ -346,12 +319,7 @@ def _verify_one(a: int, cfg: RunConfig) -> _VerifyOutcome:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    params = range(3, args.a_max + 1)
-    if cfg.parallel:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(lambda a: _verify_one(a, cfg), params))
-    else:
-        outcomes = [_verify_one(a, cfg) for a in params]
+    outcomes = [_verify_one(a, cfg) for a in range(3, args.a_max + 1)]
 
     failed = [o for o in outcomes if o.failures]
     detail = sys.stdout if cfg.format == "text" else sys.stderr
@@ -366,13 +334,12 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             for label in o.failures:
                 print(f"  mismatch: {label}")
     else:
-        rows = []
-        for o in outcomes:
-            row = dict(o.record)
-            row["verified"] = not o.failures
-            rows.append(row)
+        rows = [{**o.record, "verified": not o.failures, "skipped": o.skipped}
+                for o in outcomes]
         if cfg.format == "csv":
-            _write_csv(TABLE_FIELDS + ("verified",), rows)
+            for row in rows:
+                row["skipped"] = "; ".join(row["skipped"])
+            _write_csv(TABLE_FIELDS + ("verified", "skipped"), rows)
         else:
             _write_json(rows)
         for o in failed:
@@ -392,55 +359,34 @@ def cmd_semigroup(args: argparse.Namespace, cfg: RunConfig) -> int:
     sg = NumericalSemigroup(args.generators)
     summary = sg.summary()
     wilf = sg.wilf_check()
-    gaps = sg.gaps()
-    msg = sg.minimal_generators()
-    if cfg.format == "json":
-        _write_json({
-            "generators": list(sg.generators),
-            "minimal_generators": list(msg),
-            "m": summary.multiplicity,
-            "e": summary.embedding_dimension,
-            "frobenius": summary.frobenius,
-            "genus": summary.genus,
-            "n": summary.n_count,
-            "wilf_holds": wilf.holds,
-            "wilf_slack": wilf.slack,
-            "gaps": gaps,
-        })
-    elif cfg.format == "csv":
-        fields = ("m", "e", "frobenius", "genus", "n", "wilf_holds",
-                  "wilf_slack", "minimal_generators", "gaps")
-        row = {
-            "m": summary.multiplicity,
-            "e": summary.embedding_dimension,
-            "frobenius": summary.frobenius,
-            "genus": summary.genus,
-            "n": summary.n_count,
-            "wilf_holds": wilf.holds,
-            "wilf_slack": wilf.slack,
-            "minimal_generators": msg,
-            "gaps": gaps,
-        }
-        _write_csv(fields, [row])
-    else:
-        _write_kv_text([
-            ("generators", sg.generators),
-            ("minimal_generators", msg),
-            ("multiplicity", summary.multiplicity),
-            ("embedding_dimension", summary.embedding_dimension),
-            ("frobenius", summary.frobenius),
-            ("genus", summary.genus),
-            ("n", summary.n_count),
-            ("wilf_holds", wilf.holds),
-            ("wilf_slack", wilf.slack),
-            ("gaps", gaps),
-        ])
+    record = {
+        "generators": sg.generators,
+        "minimal_generators": sg.minimal_generators(),
+        "m": summary.multiplicity,
+        "e": summary.embedding_dimension,
+        "frobenius": summary.frobenius,
+        "genus": summary.genus,
+        "n": summary.n_count,
+        "wilf_holds": wilf.holds,
+        "wilf_slack": wilf.slack,
+        "gaps": sg.gaps(),
+    }
+    _write_record(cfg.format, record,
+                  ("m", "e", "frobenius", "genus", "n", "wilf_holds", "wilf_slack",
+                   "minimal_generators", "gaps"),
+                  tuple(record))
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # f_a passes CPython's 4300-digit int-to-str limit near a = 20,580;
+    # interpreters before 3.10.7 have no limit and no setter
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved_digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         cfg = _config_from(args)
         return args.func(args, cfg)
@@ -453,3 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     except SemigroupError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved_digits)

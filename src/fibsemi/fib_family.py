@@ -104,7 +104,11 @@ def family_frobenius(a: int) -> int:
 
 
 def family_genus_sum(a: int) -> int:
-    """Genus as the weighted sparse-subset count sum_i i * C(a - 1 - i, i)."""
+    """Genus as the weighted sparse-subset count sum_i i * C(a - 1 - i, i).
+
+    The O(a) reference route for :func:`family_genus`, kept off its hot
+    path; ``verify`` and the tests hold the two equal.
+    """
     if a < 3:
         raise ValueError("the combinatorial sum needs index at least 3")
     return sum(i * comb(a - 1 - i, i) for i in range(1, (a - 1) // 2 + 1))
@@ -118,10 +122,7 @@ def family_genus(a: int) -> int:
         return 0
     num = (a - 2) * fib(a) + a * fib(a - 2)
     assert num % 5 == 0, "closed-form genus numerator must be divisible by 5"
-    g = num // 5
-    if a >= 3:
-        assert g == family_genus_sum(a), "closed form and combinatorial sum disagree"
-    return g
+    return num // 5
 
 
 def family_genus_recurrence_check(a: int) -> bool:
@@ -227,7 +228,9 @@ def family_summary(a: int) -> FamilySummary:
     """All closed-form invariants; cheap even for very large ``a``.
 
     n_count comes from the identity g + n = F + 1 rather than enumeration,
-    and the Wilf slack e * n - (F + 1) is asserted nonnegative.
+    and the Wilf slack is e * n - (F + 1).  Neither is asserted nonnegative
+    here: ``verify`` checks both as labelled checks, so a faulty closed form
+    is reported as a mismatch rather than raised.
     """
     if a < 0:
         raise ValueError("index must be nonnegative")
@@ -235,9 +238,7 @@ def family_summary(a: int) -> FamilySummary:
     f = family_frobenius(a)
     g = family_genus(a)
     n = f + 1 - g
-    assert n >= 0, "element count below the Frobenius number cannot be negative"
     slack = len(gens) * n - (f + 1)
-    assert slack >= 0, "Wilf inequality must hold throughout the family"
     return FamilySummary(
         a=a,
         generators=gens,

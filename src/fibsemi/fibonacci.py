@@ -8,7 +8,6 @@ fib(1) == fib(2) == 1 is always represented by index 2.
 """
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -25,25 +24,18 @@ __all__ = [
     "DEFAULT_ORACLE_BOUND",
 ]
 
-# Append-only memo: _FIBS[n] == fib(n).  list.append is atomic in CPython, so
-# readers never observe a partially written entry; growth is serialized by the
-# lock so concurrent extenders cannot interleave appends.
+# Append-only memo: _FIBS[n] == fib(n).
 _FIBS = [0, 1]
-_GROW_LOCK = threading.Lock()
 
 
 def _grow_to_index(n: int) -> None:
-    if len(_FIBS) <= n:
-        with _GROW_LOCK:
-            while len(_FIBS) <= n:
-                _FIBS.append(_FIBS[-1] + _FIBS[-2])
+    while len(_FIBS) <= n:
+        _FIBS.append(_FIBS[-1] + _FIBS[-2])
 
 
 def _grow_past_value(x: int) -> None:
-    if _FIBS[-1] <= x:
-        with _GROW_LOCK:
-            while _FIBS[-1] <= x:
-                _FIBS.append(_FIBS[-1] + _FIBS[-2])
+    while _FIBS[-1] <= x:
+        _FIBS.append(_FIBS[-1] + _FIBS[-2])
 
 
 def fib(n: int) -> int:

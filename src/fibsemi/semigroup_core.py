@@ -102,11 +102,10 @@ class SemigroupSummary:
 class NumericalSemigroup:
     """A validated coprime generator list with lazily cached invariants.
 
-    Instances are immutable after construction.  The caches only ever hold
-    values identical to a fresh recomputation, so concurrent readers are safe:
-    a duplicated computation is possible, an inconsistent one is not.
-    Generators are restricted to machine-range magnitudes; the membership DP
-    refuses to allocate more than ``cell_limit`` table cells.
+    Instances are immutable after construction; the caches only ever hold
+    values identical to a fresh recomputation.  Generators are restricted to
+    machine-range magnitudes; the membership DP refuses to allocate more than
+    ``cell_limit`` table cells.
     """
 
     __slots__ = ("generators", "multiplicity", "cell_limit",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -59,6 +60,23 @@ def test_info_large_parameter_exact_decimal(capsys):
     assert payload["frobenius"] == 44 * fib(90) - 1
     assert str(44 * fib(90) - 1) in out  # full decimal, no float collapse
     assert "e+" not in out and "E+" not in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-to-str digit limit")
+def test_info_prints_integers_past_the_digit_limit(capsys):
+    from fibsemi.fibonacci import fib
+    original = sys.get_int_max_str_digits()
+    frobenius = str(1549 * fib(3100) - 1)  # f_3100 has 648 digits
+    try:
+        sys.set_int_max_str_digits(640)
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run(capsys, "info", "3100", "--format", fmt)
+            assert code == EXIT_OK, err
+            assert frobenius in out
+            assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(original)
 
 
 def test_info_rejects_negative(capsys):
@@ -152,12 +170,6 @@ def test_table_csv_json_value_parity(capsys):
         assert {k: int(v) for k, v in c.items()} == j
 
 
-def test_table_parallel_identical_output(capsys):
-    _, seq, _ = run(capsys, "table", "3", "25", "--format", "csv")
-    _, par, _ = run(capsys, "table", "3", "25", "--format", "csv", "--parallel")
-    assert seq == par
-
-
 # -- verify -----------------------------------------------------------------------
 
 def test_verify_sweep_passes(capsys):
@@ -223,10 +235,17 @@ def test_verify_json_records(capsys):
     assert all(r["verified"] is True for r in payload)
 
 
-def test_verify_parallel_same_records(capsys):
-    _, seq, _ = run(capsys, "verify", "14", "--format", "json")
-    _, par, _ = run(capsys, "verify", "14", "--format", "json", "--parallel")
-    assert seq == par
+def test_verify_machine_formats_report_skipped_checks(capsys):
+    code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "100",
+                       "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0])[-2:] == ["verified", "skipped"]
+    assert [r["skipped"] for r in rows] == [""] * 9 + ["oracle"]  # fib(12) = 144
+    code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "100",
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert [r["skipped"] for r in json.loads(out)] == [[]] * 9 + [["oracle"]]
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
