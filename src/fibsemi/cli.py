@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -27,7 +26,6 @@ from .semigroup_core import NumericalSemigroup, ResourceLimit, SemigroupError
 __all__ = [
     "main",
     "build_parser",
-    "RunConfig",
     "InvalidRange",
     "EXIT_OK",
     "EXIT_MISMATCH",
@@ -40,7 +38,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-ENV_PREFIX = "FIBSEMI_"
 DEFAULT_SWEEP_BOUND = 1_000_000  # largest f_a the verify oracle will attempt
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
@@ -48,13 +45,6 @@ TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
 
 class InvalidRange(SemigroupError):
     """A range command received a_min > a_max."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    format: str = "text"
-    oracle_bound: int = DEFAULT_SWEEP_BOUND
-    table_bound: int = DEFAULT_TABLE_BOUND
 
 
 def _nonneg(text: str) -> int:
@@ -74,53 +64,17 @@ def _positive(text: str) -> int:
     return value
 
 
-def _env_bound(name: str) -> int | None:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SemigroupError(
-            f"environment override {ENV_PREFIX}{name} must be an integer, got {raw!r}"
-        )
-    if value <= 0:
-        raise SemigroupError(
-            f"environment override {ENV_PREFIX}{name} must be positive, got {value}"
-        )
-    return value
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    # precedence: flag, then environment, then built-in default
-    oracle = args.oracle_bound
-    if oracle is None:
-        oracle = _env_bound("ORACLE_BOUND")
-    if oracle is None:
-        oracle = DEFAULT_SWEEP_BOUND
-    table = args.table_bound
-    if table is None:
-        table = _env_bound("TABLE_BOUND")
-    if table is None:
-        table = DEFAULT_TABLE_BOUND
-    return RunConfig(format=args.format, oracle_bound=oracle, table_bound=table)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "csv", "json"), default="text",
         help="output format (default: text)",
     )
-    common.add_argument(
-        "--oracle-bound", type=_positive, default=None, metavar="N",
-        help=f"largest multiplicity the brute-force oracle will attempt "
-             f"(default {DEFAULT_SWEEP_BOUND}, env {ENV_PREFIX}ORACLE_BOUND)",
-    )
-    common.add_argument(
-        "--table-bound", type=_positive, default=None, metavar="N",
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument(
+        "--table-bound", type=_positive, default=DEFAULT_TABLE_BOUND, metavar="N",
         help=f"largest residue table that will be materialized "
-             f"(default {DEFAULT_TABLE_BOUND}, env {ENV_PREFIX}TABLE_BOUND)",
+             f"(default {DEFAULT_TABLE_BOUND})",
     )
 
     parser = argparse.ArgumentParser(
@@ -135,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=_nonneg)
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("apery", parents=[common],
+    p = sub.add_parser("apery", parents=[common, tables],
                        help="residue table (x, beta(x), w(x)) at the multiplicity")
     p.add_argument("a", type=_nonneg)
     p.set_defaults(func=cmd_apery)
@@ -146,9 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a_max", type=_nonneg)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, tables],
                        help="check every closed form against the brute-force oracle")
     p.add_argument("a_max", type=_nonneg)
+    p.add_argument(
+        "--oracle-bound", type=_positive, default=DEFAULT_SWEEP_BOUND, metavar="N",
+        help=f"largest multiplicity the brute-force oracle will attempt "
+             f"(default {DEFAULT_SWEEP_BOUND})",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("semigroup", parents=[common],
@@ -212,21 +171,21 @@ def _write_record(fmt: str, record: dict, csv_fields: tuple[str, ...],
 
 # -- subcommands -----------------------------------------------------------
 
-def cmd_info(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_info(args: argparse.Namespace) -> int:
     s = fib_family.family_summary(args.a)
     record = _record(s)
     record["generators"] = s.generators
-    _write_record(cfg.format, record, TABLE_FIELDS + ("generators",),
+    _write_record(args.format, record, TABLE_FIELDS + ("generators",),
                   ("a", "generators", "m", "e", "frobenius", "genus", "n", "wilf_slack"))
     return EXIT_OK
 
 
-def cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
-    table = fib_family.family_apery(args.a, table_bound=cfg.table_bound)
+def cmd_apery(args: argparse.Namespace) -> int:
+    table = fib_family.family_apery(args.a, table_bound=args.table_bound)
     rows = [{"x": x, "beta": beta(x), "w": w} for x, w in enumerate(table.w)]
-    if cfg.format == "json":
+    if args.format == "json":
         _write_json(rows)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _write_csv(("x", "beta", "w"), rows)
     else:
         xw = max(len(str(table.n - 1)), 1)
@@ -236,14 +195,14 @@ def cmd_apery(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     if args.a_min > args.a_max:
         raise InvalidRange(f"a_min {args.a_min} exceeds a_max {args.a_max}")
     rows = [_record(fib_family.family_summary(a))
             for a in range(args.a_min, args.a_max + 1)]
-    if cfg.format == "json":
+    if args.format == "json":
         _write_json(rows)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         _write_csv(TABLE_FIELDS, rows)
     else:
         widths = {
@@ -264,7 +223,7 @@ class _VerifyOutcome:
     ms: int = 0
 
 
-def _verify_one(a: int, cfg: RunConfig) -> _VerifyOutcome:
+def _verify_one(a: int, args: argparse.Namespace) -> _VerifyOutcome:
     """Run every check available for one parameter.
 
     The record is ``family_summary``'s, which reads the closed forms through
@@ -291,15 +250,15 @@ def _verify_one(a: int, cfg: RunConfig) -> _VerifyOutcome:
         check("zeckendorf-bijection", fib_family.zeckendorf_bijection_check(a))
 
     family_table = None
-    if fa <= cfg.table_bound:
-        family_table = fib_family.family_apery(a, table_bound=cfg.table_bound)
+    if fa <= args.table_bound:
+        family_table = fib_family.family_apery(a, table_bound=args.table_bound)
         check("apery-max-frobenius", max(family_table.w) - fa == f)
         check("apery-beta-sum-genus",
               sum((w - x) // fa for x, w in enumerate(family_table.w)) == g)
     else:
         out.skipped.append("apery-table")
 
-    if fa <= cfg.oracle_bound:
+    if fa <= args.oracle_bound:
         try:
             oracle = NumericalSemigroup(gens)
             check("oracle-multiplicity", oracle.multiplicity == m)
@@ -318,13 +277,13 @@ def _verify_one(a: int, cfg: RunConfig) -> _VerifyOutcome:
     return out
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    outcomes = [_verify_one(a, cfg) for a in range(3, args.a_max + 1)]
+def cmd_verify(args: argparse.Namespace) -> int:
+    outcomes = [_verify_one(a, args) for a in range(3, args.a_max + 1)]
 
     failed = [o for o in outcomes if o.failures]
-    detail = sys.stdout if cfg.format == "text" else sys.stderr
+    detail = sys.stdout if args.format == "text" else sys.stderr
 
-    if cfg.format == "text":
+    if args.format == "text":
         for o in outcomes:
             status = "FAIL" if o.failures else "ok"
             line = f"a={o.a} m={o.record['m']} {status}"
@@ -336,7 +295,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         rows = [{**o.record, "verified": not o.failures, "skipped": o.skipped}
                 for o in outcomes]
-        if cfg.format == "csv":
+        if args.format == "csv":
             for row in rows:
                 row["skipped"] = "; ".join(row["skipped"])
             _write_csv(TABLE_FIELDS + ("verified", "skipped"), rows)
@@ -355,7 +314,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
-def cmd_semigroup(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_semigroup(args: argparse.Namespace) -> int:
     sg = NumericalSemigroup(args.generators)
     summary = sg.summary()
     wilf = sg.wilf_check()
@@ -371,7 +330,7 @@ def cmd_semigroup(args: argparse.Namespace, cfg: RunConfig) -> int:
         "wilf_slack": wilf.slack,
         "gaps": sg.gaps(),
     }
-    _write_record(cfg.format, record,
+    _write_record(args.format, record,
                   ("m", "e", "frobenius", "genus", "n", "wilf_holds", "wilf_slack",
                    "minimal_generators", "gaps"),
                   tuple(record))
@@ -388,8 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         saved_digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        cfg = _config_from(args)
-        return args.func(args, cfg)
+        return args.func(args)
     except ResourceLimit as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, TableTooLarge):

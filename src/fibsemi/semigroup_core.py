@@ -103,9 +103,9 @@ class NumericalSemigroup:
     """A validated coprime generator list with lazily cached invariants.
 
     Instances are immutable after construction; the caches only ever hold
-    values identical to a fresh recomputation.  Generators are restricted to
-    machine-range magnitudes; the membership DP refuses to allocate more than
-    ``cell_limit`` table cells.
+    values identical to a fresh recomputation.  Both primitives share one
+    budget of ``cell_limit`` table cells: the membership DP refuses a table
+    past it and ``apery`` refuses a pivot above it, before allocating.
     """
 
     __slots__ = ("generators", "multiplicity", "cell_limit",
@@ -169,9 +169,15 @@ class NumericalSemigroup:
 
         Vertices are residues mod n and each arc adds one generator; the
         distance to residue r is exactly the least element congruent to r.
+        The table has one cell per residue, so a pivot above ``cell_limit``
+        is refused before anything is allocated.
         """
         if n <= 0:
             raise PivotZero("Apery pivot must be a positive integer")
+        if n > self.cell_limit:
+            raise ResourceLimit(
+                f"Apery table of {n} residues exceeds the {self.cell_limit}-cell budget"
+            )
         if n not in self._gen_set and not self.contains(n):
             raise PivotNotInSemigroup(f"{n} is not an element of the semigroup")
         cached = self._apery_tables.get(n)
@@ -218,30 +224,26 @@ class NumericalSemigroup:
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique minimal system: nonzero elements that are not sums of two.
 
-        Candidates live in [m, F + m]: anything above F + m splits off one
-        multiplicity, and m itself is never a sum of two positive elements.
+        Every minimal generator is one of the input generators.  An input
+        generator g is a sum of two nonzero elements exactly when g - h is an
+        element for some smaller input generator h: a nonzero summand s < g
+        is h plus an element for some input generator h <= s.
+
+        Schur's bound F <= (m - 1)(c - 1) - 1, with c the first generator that
+        makes the sorted prefix coprime, caps the table, so a redundant huge
+        generator does not blow up the DP.
         """
-        if self._msg is not None:
-            return self._msg
-        m = self.multiplicity
-        if m == 1:
-            self._msg = (1,)
-            return self._msg
-        hi = self.frobenius() + m
-        table = self._members_up_to(hi)
-        members = [x for x in range(m, hi + 1) if table[x]]
-        found: list[int] = []
-        for x in members:
-            decomposable = False
-            for y in members:
-                if 2 * y > x:
+        if self._msg is None:
+            gens = self.generators
+            d = 0
+            for c in gens:
+                d = gcd(d, c)
+                if d == 1:
                     break
-                if table[x - y]:
-                    decomposable = True
-                    break
-            if not decomposable:
-                found.append(x)
-        self._msg = tuple(found)
+            top = min(gens[-1] - self.multiplicity, (self.multiplicity - 1) * (c - 1))
+            table = self._members_up_to(top)
+            self._msg = tuple(g for i, g in enumerate(gens)
+                              if not any(g - h > top or table[g - h] for h in gens[:i]))
         return self._msg
 
     def embedding_dimension(self) -> int:

@@ -80,9 +80,11 @@ def test_info_prints_integers_past_the_digit_limit(capsys):
 
 
 def test_info_rejects_negative(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["info", "-3"])
-    assert exc.value.code == EXIT_USAGE
+    # a bound flag is a usage error where the subcommand would ignore it
+    for argv in (["info", "-3"], ["info", "3", "--oracle-bound", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
 
 
 # -- apery ----------------------------------------------------------------------
@@ -194,30 +196,6 @@ def test_verify_oracle_bound_cuts_over(capsys):
     assert "oracle" in by_a["a=17"]  # fib(17) = 1597 skips the oracle
 
 
-def test_verify_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("FIBSEMI_ORACLE_BOUND", "100")
-    code, out, _ = run(capsys, "verify", "12")
-    assert code == EXIT_OK
-    by_a = {l.split()[0]: l for l in out.splitlines() if l.startswith("a=")}
-    assert "skipped" not in by_a["a=11"]  # fib(11) = 89 <= 100
-    assert "oracle" in by_a["a=12"]
-
-
-def test_verify_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("FIBSEMI_ORACLE_BOUND", "100")
-    code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1000")
-    assert code == EXIT_OK
-    by_a = {l.split()[0]: l for l in out.splitlines() if l.startswith("a=")}
-    assert "skipped" not in by_a["a=12"]  # fib(12) = 144 <= 1000
-
-
-def test_verify_bad_env_value(capsys, monkeypatch):
-    monkeypatch.setenv("FIBSEMI_TABLE_BOUND", "many")
-    code, _, err = run(capsys, "verify", "5")
-    assert code == EXIT_USAGE
-    assert "FIBSEMI_TABLE_BOUND" in err
-
-
 def test_verify_csv_records(capsys):
     code, out, _ = run(capsys, "verify", "10", "--format", "csv")
     assert code == EXIT_OK
@@ -300,6 +278,14 @@ def test_semigroup_zero_generator(capsys):
     code, _, err = run(capsys, "semigroup", "0", "5")
     assert code == EXIT_USAGE
     assert "ZeroGenerator" in err
+
+
+def test_semigroup_huge_generators_refused(capsys):
+    code, _, err = run(capsys, "semigroup", "100000000000000000000",
+                       "100000000000000000001")
+    assert code == EXIT_RESOURCE
+    assert "ResourceLimit" in err
+    assert "Traceback" not in err
 
 
 def test_semigroup_text_report(capsys):

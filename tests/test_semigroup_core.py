@@ -82,6 +82,9 @@ def test_apery_pivot_validation():
         sg.apery(0)
     with pytest.raises(PivotNotInSemigroup):
         sg.apery(7)
+    # one table cell per residue, refused before anything is allocated
+    with pytest.raises(ResourceLimit):
+        NumericalSemigroup([5, 7], cell_limit=4).apery(5)
 
 
 def test_apery_known_table():
@@ -146,6 +149,9 @@ def test_minimal_generators_drops_redundant():
     # 34 = 13 + 21 is already reachable
     with_extra = NumericalSemigroup([13, 14, 15, 16, 18, 21, 34])
     assert with_extra.minimal_generators() == (13, 14, 15, 16, 18, 21)
+    # a redundant huge generator: Schur's bound stops the table far below it
+    far = NumericalSemigroup([4, 6, 9, 10**8 + 1], cell_limit=100)
+    assert far.minimal_generators() == (4, 6, 9)
 
 
 def test_minimal_generators_with_unit():
@@ -219,6 +225,12 @@ def test_invariant_identities_random(gens):
     for x in range(0, f + 2 * m + 1):
         assert sg.contains(x) == (x >= table.w[x % m])
     msg = sg.minimal_generators()
+    # the definition: nonzero elements that are not a sum of two nonzero
+    # elements, all of which lie in [m, F + m] (m >= 2 here, so F >= 1)
+    members = [x for x in range(m, f + m + 1) if sg.contains(x)]
+    assert msg == tuple(x for x in members
+                        if not any(sg.contains(x - y) for y in members if 2 * y <= x))
+    assert NumericalSemigroup(gens + [msg[0] + msg[-1]]).minimal_generators() == msg
     regen = NumericalSemigroup(msg)
     assert regen.frobenius() == f
     assert regen.genus() == g
