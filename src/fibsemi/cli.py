@@ -7,13 +7,15 @@ Output is text, CSV, or JSON; every number is printed as an exact decimal
 integer, never a float.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
-3 resource limit.
+3 resource limit or an output stream that cannot be written (closed pipe,
+full disk).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -248,6 +250,8 @@ def _verify_one(a: int, args: argparse.Namespace) -> _VerifyOutcome:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
     if a <= 25:
         check("zeckendorf-bijection", fib_family.zeckendorf_bijection_check(a))
+    else:
+        out.skipped.append("zeckendorf-bijection")
 
     family_table = None
     if fa <= args.table_bound:
@@ -261,10 +265,11 @@ def _verify_one(a: int, args: argparse.Namespace) -> _VerifyOutcome:
     if fa <= args.oracle_bound:
         try:
             oracle = NumericalSemigroup(gens)
+            oracle_n = oracle.n_count()  # an out-of-budget table refuses first
             check("oracle-multiplicity", oracle.multiplicity == m)
             check("oracle-frobenius", oracle.frobenius() == f)
             check("oracle-genus", oracle.genus() == g)
-            check("oracle-n-count", oracle.n_count() == n)
+            check("oracle-n-count", oracle_n == n)
             check("oracle-minimal-generators", oracle.minimal_generators() == gens)
             if family_table is not None:
                 check("oracle-apery-table", oracle.apery(fa) == family_table)
@@ -337,6 +342,18 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the interpreter's own
+    flush at shutdown cannot fail again and print "Exception ignored"."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor behind a replaced stdout
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -347,7 +364,16 @@ def main(argv: list[str] | None = None) -> int:
         saved_digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at shutdown
+        return code
+    except OSError as exc:  # stdout closed by its reader or its disk full
+        _silence_stdout()
+        try:
+            print(f"fibsemi: cannot write output: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+        return EXIT_RESOURCE
     except ResourceLimit as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, TableTooLarge):

@@ -1,6 +1,6 @@
 """Generic numerical-semigroup oracle, computed from first principles.
 
-No family shortcuts live here.  Membership is a reachability DP over the
+No family shortcuts live here.  Membership is a reachability bitset over the
 generators and Apery sets come from shortest paths on the residue graph, two
 independent routes that the test suite plays against each other.  Every other
 invariant (Frobenius number, genus, minimal generators, gap list, Wilf check)
@@ -28,7 +28,7 @@ __all__ = [
     "DEFAULT_CELL_LIMIT",
 ]
 
-DEFAULT_CELL_LIMIT = 10_000_000  # membership-DP table cells
+DEFAULT_CELL_LIMIT = 10_000_000  # membership-table cells (bits)
 
 
 class SemigroupError(Exception):
@@ -104,12 +104,13 @@ class NumericalSemigroup:
 
     Instances are immutable after construction; the caches only ever hold
     values identical to a fresh recomputation.  Both primitives share one
-    budget of ``cell_limit`` table cells: the membership DP refuses a table
-    past it and ``apery`` refuses a pivot above it, before allocating.
+    budget of ``cell_limit`` table cells: the membership table, which needs
+    F + m + 1 cells, refuses to grow past it and ``apery`` refuses a pivot
+    above it, before allocating.
     """
 
     __slots__ = ("generators", "multiplicity", "cell_limit",
-                 "_gen_set", "_members", "_apery_tables", "_msg")
+                 "_gen_set", "_reach", "_apery_tables", "_msg")
 
     def __init__(self, generators: Iterable[int], *, cell_limit: int = DEFAULT_CELL_LIMIT):
         gens = sorted(set(generators))
@@ -126,7 +127,7 @@ class NumericalSemigroup:
         self.multiplicity: int = gens[0]
         self.cell_limit = cell_limit
         self._gen_set = frozenset(gens)
-        self._members = bytearray((1,))  # membership table for 0..len-1
+        self._reach: tuple[int, bytes] | None = None
         self._apery_tables: dict[int, AperyTable] = {}
         self._msg: tuple[int, ...] | None = None
 
@@ -135,32 +136,42 @@ class NumericalSemigroup:
 
     # -- membership -------------------------------------------------------
 
-    def _members_up_to(self, limit: int) -> bytearray:
-        """Reachability table: table[t] != 0 iff t is an element, 0 <= t <= limit."""
-        if limit + 1 > self.cell_limit:
-            raise ResourceLimit(
-                f"membership table of {limit + 1} cells exceeds the "
-                f"{self.cell_limit}-cell budget"
-            )
-        table = self._members
-        if len(table) > limit:
-            return table
-        table = bytearray(limit + 1)
-        table[0] = 1
-        for g in self.generators:
-            if g > limit:
-                break
-            for t in range(g, limit + 1):
-                if table[t - g]:
-                    table[t] = 1
-        self._members = table
-        return table
+    def _reachability(self) -> tuple[int, bytes]:
+        """(F, table): bit x of the little-endian ``table`` is set iff x <= F is
+        an element.  A big-int bitset is closed under each generator g by
+        shifts of g, 2g, 4g, ...; its length doubles (the last try at exactly
+        ``cell_limit``) until its top m cells are elements, past which every
+        integer is one, so F is its highest clear cell.
+        """
+        if self._reach is None:
+            m = cells = self.multiplicity
+            while True:
+                cells = min(cells, self.cell_limit)
+                mask = (1 << cells) - 1
+                reach = 1
+                for g in self.generators:
+                    step = g
+                    while step < cells:
+                        reach |= (reach << step) & mask
+                        step <<= 1
+                if cells >= m and reach >> (cells - m) == (1 << m) - 1:
+                    break
+                if cells == self.cell_limit:
+                    raise ResourceLimit(
+                        f"membership table: no run of {m} consecutive elements "
+                        f"within the {self.cell_limit}-cell budget"
+                    )
+                cells *= 2
+            f = (reach ^ mask).bit_length() - 1
+            self._reach = (f, reach.to_bytes((cells + 7) // 8, "little"))
+        return self._reach
 
     def contains(self, x: int) -> bool:
-        """Membership decided by generator-reachability DP (no Apery involvement)."""
+        """Membership decided by generator reachability (no Apery involvement)."""
         if x < 0:
             return False
-        return bool(self._members_up_to(x)[x])
+        f, table = self._reachability()
+        return x > f or bool(table[x >> 3] >> (x & 7) & 1)
 
     # -- Apery sets and the invariants built on them -----------------------
 
@@ -228,22 +239,11 @@ class NumericalSemigroup:
         generator g is a sum of two nonzero elements exactly when g - h is an
         element for some smaller input generator h: a nonzero summand s < g
         is h plus an element for some input generator h <= s.
-
-        Schur's bound F <= (m - 1)(c - 1) - 1, with c the first generator that
-        makes the sorted prefix coprime, caps the table, so a redundant huge
-        generator does not blow up the DP.
         """
         if self._msg is None:
             gens = self.generators
-            d = 0
-            for c in gens:
-                d = gcd(d, c)
-                if d == 1:
-                    break
-            top = min(gens[-1] - self.multiplicity, (self.multiplicity - 1) * (c - 1))
-            table = self._members_up_to(top)
             self._msg = tuple(g for i, g in enumerate(gens)
-                              if not any(g - h > top or table[g - h] for h in gens[:i]))
+                              if not any(self.contains(g - h) for h in gens[:i]))
         return self._msg
 
     def embedding_dimension(self) -> int:
@@ -251,19 +251,15 @@ class NumericalSemigroup:
 
     def n_count(self) -> int:
         """Number of elements strictly below the Frobenius number."""
-        f = self.frobenius()
+        f, table = self._reachability()
         if f <= 0:
             return 0
-        # cached table may extend past f, so count only indices 0..f-1
-        return sum(self._members_up_to(f - 1)[:f])
+        return (int.from_bytes(table, "little") & ((1 << f) - 1)).bit_count()
 
     def gaps(self) -> list[int]:
         """All nonmembers in increasing order; the length equals the genus."""
-        f = self.frobenius()
-        if f < 0:
-            return []
-        table = self._members_up_to(f)
-        return [x for x in range(1, f + 1) if not table[x]]
+        f, table = self._reachability()
+        return [x for x in range(1, f + 1) if not table[x >> 3] >> (x & 7) & 1]
 
     def wilf_check(self) -> WilfResult:
         """Wilf inequality F + 1 <= e * n, together with its integer slack."""
@@ -273,9 +269,9 @@ class NumericalSemigroup:
 
     def summary(self) -> SemigroupSummary:
         """All invariants at once, with the g + n = F + 1 identity asserted."""
+        n = self.n_count()  # an out-of-budget table refuses before the Dijkstra
         f = self.frobenius()
         g = self.genus()
-        n = self.n_count()
         assert g + n == f + 1, "genus + n(S) must equal F(S) + 1"
         return SemigroupSummary(
             frobenius=f,

@@ -4,12 +4,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibsemi import cli, fib_family
 from fibsemi.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from fibsemi.semigroup_core import NumericalSemigroup
 
 
 def run(capsys, *argv):
@@ -226,6 +233,25 @@ def test_verify_machine_formats_report_skipped_checks(capsys):
     assert [r["skipped"] for r in json.loads(out)] == [[]] * 9 + [["oracle"]]
 
 
+def test_verify_reports_the_skipped_bijection_check(capsys, monkeypatch):
+    # the Zeckendorf bijection is checked only up to a = 25
+    code, out, _ = run(capsys, "verify", "26", "--oracle-bound", "1",
+                       "--table-bound", "1", "--format", "csv")
+    assert code == EXIT_OK
+    rows = {int(r["a"]): r["skipped"].split("; ") for r in csv.DictReader(io.StringIO(out))}
+    assert rows[26] == ["zeckendorf-bijection", "apery-table", "oracle"]
+    assert not any("zeckendorf-bijection" in rows[a] for a in range(3, 26))
+    monkeypatch.setattr(fib_family, "zeckendorf_bijection_check", lambda a: True)
+    code, out, _ = run(capsys, "verify", "26", "--oracle-bound", "1",
+                       "--table-bound", "1", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)[-1]["skipped"][0] == "zeckendorf-bijection"
+    code, out, _ = run(capsys, "verify", "26", "--oracle-bound", "1",
+                       "--table-bound", "1")
+    assert code == EXIT_OK
+    assert "skipped[zeckendorf-bijection, " in out.splitlines()[-2]
+
+
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     real = fib_family.family_frobenius
     monkeypatch.setattr(fib_family, "family_frobenius", lambda a: real(a) + 1)
@@ -288,6 +314,17 @@ def test_semigroup_huge_generators_refused(capsys):
     assert "Traceback" not in err
 
 
+def test_semigroup_refused_before_the_dijkstra(capsys, monkeypatch):
+    pivots = []
+    real = NumericalSemigroup.apery
+    monkeypatch.setattr(NumericalSemigroup, "apery",
+                        lambda self, n: pivots.append(n) or real(self, n))
+    code, _, err = run(capsys, "semigroup", "1000003", "1000033")
+    assert code == EXIT_RESOURCE
+    assert "membership table" in err
+    assert pivots == []
+
+
 def test_semigroup_text_report(capsys):
     code, out, _ = run(capsys, "semigroup", "6", "9", "20")
     assert code == EXIT_OK
@@ -318,7 +355,65 @@ def test_round_trip_is_identity(capsys):
             assert str(int(cell)) == cell
 
 
+def test_closed_pipe_exits_with_resource_code():
+    proc = subprocess.Popen([sys.executable, "-m", "fibsemi", "apery", "22", "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "x,beta,w\n"
+    proc.stdout.close()  # the ~250 kB table cannot all fit in the pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_RESOURCE
+    assert err.splitlines() == ["fibsemi: cannot write output: [Errno 32] Broken pipe"]
+
+
+def test_unwritable_stdout_exits_with_resource_code(capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["info", "5", "--format", "json"])
+    monkeypatch.undo()
+    assert code == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "fibsemi: cannot write output: [Errno 28] No space left on device\n")
+
+
 def test_unknown_command_exits_with_usage():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
+
+
+_BAD = st.sampled_from(["-3", "x", "", "2.5", "--", "-h"])
+_COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["info", "apery"]), st.integers(0, 18)),
+    st.tuples(st.just("table"), st.integers(0, 18), st.integers(0, 18)),
+    st.tuples(st.just("verify"), st.integers(0, 12)),
+    st.lists(st.integers(1, 10**4), min_size=1, max_size=4).map(
+        lambda gens: ("semigroup", *gens)),
+)
+_STRAY = st.one_of(
+    st.tuples(st.just("--format"), st.sampled_from(["text", "csv", "json", "xml"])),
+    st.tuples(st.sampled_from(["--table-bound", "--oracle-bound"]),
+              st.sampled_from(["0", "1", "50", "1000000", "-1", "y"])),
+    st.tuples(st.sampled_from(["--format", "--nope", "--parallel", "7"])),
+)
+
+
+@given(_COMMANDS, st.lists(_BAD, max_size=1), st.lists(_STRAY, max_size=2), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_exit_code_is_always_documented(command, bad, stray, rnd):
+    argv = [str(t) for t in command]
+    for token in bad:  # one positional swapped for a malformed token
+        argv[rnd.randrange(1, len(argv))] = token
+    argv += [t for flag in stray for t in flag]
+    # a small oracle budget keeps every semigroup allocation tiny
+    small = partial(NumericalSemigroup, cell_limit=50_000)
+    with mock.patch.object(cli, "NumericalSemigroup", small), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage error or --help
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE), argv

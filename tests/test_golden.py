@@ -1,7 +1,7 @@
 """Byte-for-byte CLI output against snapshots committed under ``golden/``.
 
-The snapshots were written by the CLI before its rendering was consolidated;
-any change to them is a change of output schema.  Verify's per-parameter and
+Each snapshot was written by the CLI before the refactor it guards; any
+change to them is a change of output schema.  Verify's per-parameter and
 total timings vary from run to run, so they are stripped before comparing.
 """
 from __future__ import annotations
@@ -22,6 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("info 90 --format json", "info_90.json"),
     ("semigroup 6 9 20 --format json", "semigroup_6_9_20.json"),
     ("verify 20", "verify_20.txt"),
+    ("verify 20 --format json", "verify_20.json"),
+    ("verify 20 --format csv", "verify_20.csv"),
 ])
 def test_output_matches_snapshot(capsys, argv, snapshot):
     assert main(argv.split()) == EXIT_OK

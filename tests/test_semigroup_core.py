@@ -61,8 +61,15 @@ def test_membership_around_frobenius():
 def test_membership_table_budget():
     sg = NumericalSemigroup([3, 5], cell_limit=100)
     assert sg.contains(7) is False
-    with pytest.raises(ResourceLimit):
-        sg.contains(1_000)
+    assert sg.contains(1_000) is True  # past F, so no table reaches it
+    # the table runs to its Frobenius horizon F + m = 10, whatever is asked
+    starved = NumericalSemigroup([3, 5], cell_limit=8)
+    for ask in (lambda: starved.contains(1), starved.n_count, starved.gaps,
+                starved.minimal_generators):
+        with pytest.raises(ResourceLimit):
+            ask()
+    # F + m + 1 = 11 cells: the last try, at exactly the budget, fits
+    assert NumericalSemigroup([3, 5], cell_limit=11).gaps() == [1, 2, 4, 7]
 
 
 def test_apery_table_validation():
@@ -149,7 +156,7 @@ def test_minimal_generators_drops_redundant():
     # 34 = 13 + 21 is already reachable
     with_extra = NumericalSemigroup([13, 14, 15, 16, 18, 21, 34])
     assert with_extra.minimal_generators() == (13, 14, 15, 16, 18, 21)
-    # a redundant huge generator: Schur's bound stops the table far below it
+    # a redundant huge generator: it lies past F, so no table reaches it
     far = NumericalSemigroup([4, 6, 9, 10**8 + 1], cell_limit=100)
     assert far.minimal_generators() == (4, 6, 9)
 
