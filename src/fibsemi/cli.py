@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -66,6 +67,16 @@ def _positive(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that help which cannot be written raises ``OSError``
+    rather than being dropped, so ``main`` can exit 3 instead of 0."""
+
+    def print_help(self, file=None) -> None:
+        file = file or sys.stdout
+        if file is not None:  # no stdout at all is main's to report
+            file.write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -79,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
              f"(default {DEFAULT_TABLE_BOUND})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fibsemi",
         description="Numerical-semigroup invariants for Fibonacci-shift generator "
                     "families, with a brute-force cross-check oracle.",
@@ -183,17 +194,26 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_apery(args: argparse.Namespace) -> int:
+    """Write the table one row at a time: memory is the table plus one row."""
     table = fib_family.family_apery(args.a, table_bound=args.table_bound)
-    rows = [{"x": x, "beta": beta(x), "w": w} for x, w in enumerate(table.w)]
+    rows = ((x, beta(x), w) for x, w in enumerate(table.w))
+    out = sys.stdout
     if args.format == "json":
-        _write_json(rows)
+        # json.dump(rows, indent=2)'s layout; every value is an int, so
+        # nothing needs escaping.  The table is never empty.
+        items = (f'  {{\n    "x": {x},\n    "beta": {b},\n    "w": {w}\n  }}'
+                 for x, b, w in rows)
+        out.write("[\n" + next(items))
+        out.writelines(",\n" + item for item in items)
+        out.write("\n]\n")
     elif args.format == "csv":
-        _write_csv(("x", "beta", "w"), rows)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("x", "beta", "w"))
+        writer.writerows(rows)
     else:
         xw = max(len(str(table.n - 1)), 1)
         ww = max(len(str(max(table.w))), 1)
-        for r in rows:
-            print(f"{r['x']:>{xw}}  {r['beta']:>2}  {r['w']:>{ww}}")
+        out.writelines(f"{x:>{xw}}  {b:>2}  {w:>{ww}}\n" for x, b, w in rows)
     return EXIT_OK
 
 
@@ -345,6 +365,8 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
 def _silence_stdout() -> None:
     """Point stdout's descriptor at the null device, so the interpreter's own
     flush at shutdown cannot fail again and print "Exception ignored"."""
+    if sys.stdout is None:
+        return
     try:
         fd = sys.stdout.fileno()
     except (OSError, ValueError):  # no descriptor behind a replaced stdout
@@ -354,9 +376,8 @@ def _silence_stdout() -> None:
     os.close(devnull)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
+    """Run the subcommand; a refusal is one stderr line and its exit code."""
     # f_a passes CPython's 4300-digit int-to-str limit near a = 20,580;
     # interpreters before 3.10.7 have no limit and no setter
     limited = hasattr(sys, "set_int_max_str_digits")
@@ -364,16 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         saved_digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a buffered write fails here, not at shutdown
-        return code
-    except OSError as exc:  # stdout closed by its reader or its disk full
-        _silence_stdout()
-        try:
-            print(f"fibsemi: cannot write output: {exc}", file=sys.stderr)
-        except OSError:
-            pass
-        return EXIT_RESOURCE
+        return args.func(args)
     except ResourceLimit as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, TableTooLarge):
@@ -386,3 +398,25 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if limited:
             sys.set_int_max_str_digits(saved_digits)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:  # a usage error, already reported on stderr
+                raise
+            args = None  # help, written by _Parser.print_help
+        if sys.stdout is None:  # descriptor 1 was closed when Python started
+            raise OSError(errno.EBADF, "standard output is closed")
+        code = _run(args) if args else EXIT_OK
+        sys.stdout.flush()  # a buffered write fails here, not at shutdown
+        return code
+    except OSError as exc:  # stdout closed, closed by its reader, or disk full
+        _silence_stdout()
+        try:
+            print(f"fibsemi: cannot write output: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+        return EXIT_RESOURCE

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from unittest import mock
@@ -113,6 +116,25 @@ def test_apery_small_parameter(capsys):
         {"x": 0, "beta": 0, "w": 0},
         {"x": 1, "beta": 1, "w": 3},
     ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_apery_memory_is_the_table(monkeypatch, fmt):
+    # rows are written as they are made, so rendering adds little to the table
+    fib_family.fib(22)  # warm the Fibonacci memo: count only the table
+    tracemalloc.start()
+    try:
+        fib_family.family_apery(22)
+        table_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            assert main(["apery", "22", "--format", fmt]) == EXIT_OK
+            monkeypatch.undo()
+        cli_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli_peak <= 2 * table_peak, (cli_peak, table_peak)
 
 
 def test_apery_resource_limit_exit(capsys):
@@ -377,6 +399,44 @@ def test_unwritable_stdout_exits_with_resource_code(capsys, monkeypatch):
     assert code == EXIT_RESOURCE
     assert capsys.readouterr().err == (
         "fibsemi: cannot write output: [Errno 28] No space left on device\n")
+
+
+def test_closed_stdout_descriptor_exits_with_resource_code(capsys, monkeypatch):
+    # Python started with descriptor 1 closed leaves sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(["verify", "3", "--format", "csv"])
+    monkeypatch.undo()
+    assert code == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "fibsemi: cannot write output: [Errno 9] standard output is closed\n")
+
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "fibsemi", "apery", "12"],
+        stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.returncode == EXIT_RESOURCE
+    assert proc.stderr == "fibsemi: cannot write output: [Errno 9] standard output is closed\n"
+
+
+def _full(*_):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["--help"], ["apery", "-h"]])
+def test_unwritable_help_exits_with_resource_code(capsys, monkeypatch, argv, failing):
+    # argparse itself drops a failed write and exits 0
+    monkeypatch.setattr(sys, "stdout", type("Full", (io.StringIO,), {failing: _full})())
+    code = main(argv)
+    monkeypatch.undo()
+    assert code == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "fibsemi: cannot write output: [Errno 28] No space left on device\n")
+
+
+def test_help_exits_ok(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: fibsemi")
 
 
 def test_unknown_command_exits_with_usage():

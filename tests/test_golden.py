@@ -19,6 +19,8 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("argv, snapshot", [
     ("table 0 60 --format csv", "table_0_60.csv"),
     ("apery 12 --format csv", "apery_12.csv"),
+    ("apery 12", "apery_12.txt"),
+    ("apery 12 --format json", "apery_12.json"),
     ("info 90 --format json", "info_90.json"),
     ("semigroup 6 9 20 --format json", "semigroup_6_9_20.json"),
     ("verify 20", "verify_20.txt"),
