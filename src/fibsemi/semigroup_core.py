@@ -1,14 +1,14 @@
 """Generic numerical-semigroup oracle, computed from first principles.
 
 No family shortcuts live here.  Membership is a reachability bitset over the
-generators and Apery sets come from shortest paths on the residue graph, two
-independent routes that the test suite plays against each other.  Every other
-invariant (Frobenius number, genus, minimal generators, gap list, Wilf check)
-derives from those primitives.
+generators, and the Apery set of a pivot n is read off that same bitset as
+{s in S : s - n not in S}.  Every other invariant (Frobenius number, genus,
+minimal generators, gap list, Wilf check) derives from that one table.  The
+test suite plays it against a second, independent route: Nijenhuis's
+shortest paths on the residue graph.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, NamedTuple
@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 DEFAULT_CELL_LIMIT = 10_000_000  # membership-table cells (bits)
+
+# _SET_BITS[b]: positions of the set bits of the byte b, in increasing order
+_SET_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 class SemigroupError(Exception):
@@ -103,14 +106,14 @@ class NumericalSemigroup:
     """A validated coprime generator list with lazily cached invariants.
 
     Instances are immutable after construction; the caches only ever hold
-    values identical to a fresh recomputation.  Both primitives share one
-    budget of ``cell_limit`` table cells: the membership table, which needs
-    F + m + 1 cells, refuses to grow past it and ``apery`` refuses a pivot
-    above it, before allocating.
+    values identical to a fresh recomputation.  Every table shares one budget
+    of ``cell_limit`` cells (bits): the membership table, which needs
+    F + m + 1 cells, refuses to grow past it, and the Apery table of a pivot
+    n, which needs F + n + 1, is refused before it is allocated.
     """
 
     __slots__ = ("generators", "multiplicity", "cell_limit",
-                 "_gen_set", "_reach", "_apery_tables", "_msg")
+                 "_reach", "_apery_tables", "_msg")
 
     def __init__(self, generators: Iterable[int], *, cell_limit: int = DEFAULT_CELL_LIMIT):
         gens = sorted(set(generators))
@@ -126,7 +129,6 @@ class NumericalSemigroup:
         self.generators: tuple[int, ...] = tuple(gens)
         self.multiplicity: int = gens[0]
         self.cell_limit = cell_limit
-        self._gen_set = frozenset(gens)
         self._reach: tuple[int, bytes] | None = None
         self._apery_tables: dict[int, AperyTable] = {}
         self._msg: tuple[int, ...] | None = None
@@ -176,42 +178,39 @@ class NumericalSemigroup:
     # -- Apery sets and the invariants built on them -----------------------
 
     def apery(self, n: int) -> AperyTable:
-        """Apery set of ``n``: single-source shortest paths on the residue graph.
+        """Apery set of ``n``, read off the membership bitset R.
 
-        Vertices are residues mod n and each arc adds one generator; the
-        distance to residue r is exactly the least element congruent to r.
-        The table has one cell per residue, so a pivot above ``cell_limit``
-        is refused before anything is allocated.
+        Ap(S, n) = {s in S : s - n not in S}, so its bits are R & ~(R << n)
+        on [0, F + n], with every cell above F set: one per residue, the
+        largest being F + n.  That needs F + n + 1 cells of ``cell_limit``;
+        a pivot that needs more is refused before anything is allocated.
         """
-        if n <= 0:
-            raise PivotZero("Apery pivot must be a positive integer")
-        if n > self.cell_limit:
-            raise ResourceLimit(
-                f"Apery table of {n} residues exceeds the {self.cell_limit}-cell budget"
-            )
-        if n not in self._gen_set and not self.contains(n):
-            raise PivotNotInSemigroup(f"{n} is not an element of the semigroup")
         cached = self._apery_tables.get(n)
         if cached is not None:
             return cached
-        dist: list[int | None] = [None] * n
-        dist[0] = 0
-        heap: list[tuple[int, int]] = [(0, 0)]
-        while heap:
-            d, r = heapq.heappop(heap)
-            if d != dist[r]:
-                continue  # stale entry
-            for g in self.generators:
-                nd = d + g
-                nr = (r + g) % n
-                cur = dist[nr]
-                if cur is None or nd < cur:
-                    dist[nr] = nd
-                    heapq.heappush(heap, (nd, nr))
-        # gcd 1 guarantees every residue is reached
-        table = AperyTable(n, tuple(dist))  # type: ignore[arg-type]
-        self._apery_tables[n] = table
-        return table
+        if n <= 0:
+            raise PivotZero("Apery pivot must be a positive integer")
+        if not self.contains(n):
+            raise PivotNotInSemigroup(f"{n} is not an element of the semigroup")
+        f, table = self._reachability()
+        cells = f + n + 1
+        if cells > self.cell_limit:
+            raise ResourceLimit(
+                f"Apery table of pivot {n} needs {cells} cells (F + n + 1), "
+                f"over the {self.cell_limit}-cell budget"
+            )
+        reach = (int.from_bytes(table, "little") & ((1 << (f + 1)) - 1)
+                 | ((1 << n) - 1) << (f + 1))
+        firsts = (reach & ~(reach << n)).to_bytes((cells + 7) // 8, "little")
+        w = [0] * n
+        for i, byte in enumerate(firsts):
+            if byte:
+                for b in _SET_BITS[byte]:
+                    s = (i << 3) + b
+                    w[s % n] = s
+        apery_table = AperyTable(n, tuple(w))
+        self._apery_tables[n] = apery_table
+        return apery_table
 
     def frobenius(self) -> int:
         """max Ap(S, m) - m; equals -1 exactly when the semigroup is all of N."""
@@ -269,7 +268,7 @@ class NumericalSemigroup:
 
     def summary(self) -> SemigroupSummary:
         """All invariants at once, with the g + n = F + 1 identity asserted."""
-        n = self.n_count()  # an out-of-budget table refuses before the Dijkstra
+        n = self.n_count()  # an out-of-budget table refuses before any Apery table
         f = self.frobenius()
         g = self.genus()
         assert g + n == f + 1, "genus + n(S) must equal F(S) + 1"

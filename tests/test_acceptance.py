@@ -88,7 +88,7 @@ def test_criterion_04_genus_reproduction(capsys):
 
 def test_criterion_05_oracle_equivalence_sweep(capsys):
     t0 = time.perf_counter()
-    for a in range(3, 17):
+    for a in range(3, 25):
         gens = family_generators(a)
         sg = NumericalSemigroup(gens)
         fa = fib(a)
@@ -101,7 +101,7 @@ def test_criterion_05_oracle_equivalence_sweep(capsys):
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     with capsys.disabled():
-        _pass(5, t0, "closed forms equal the oracle for every a in 3..16")
+        _pass(5, t0, "closed forms equal the oracle for every a in 3..24")
 
 
 def test_criterion_06_zeckendorf_suite(capsys):

@@ -336,7 +336,7 @@ def test_semigroup_huge_generators_refused(capsys):
     assert "Traceback" not in err
 
 
-def test_semigroup_refused_before_the_dijkstra(capsys, monkeypatch):
+def test_semigroup_refused_before_any_apery_table(capsys, monkeypatch):
     pivots = []
     real = NumericalSemigroup.apery
     monkeypatch.setattr(NumericalSemigroup, "apery",

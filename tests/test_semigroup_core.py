@@ -1,6 +1,8 @@
 """Brute-force oracle: membership, Apery sets, and the derived invariants."""
 from __future__ import annotations
 
+import heapq
+import time
 from math import gcd
 
 import pytest
@@ -89,9 +91,31 @@ def test_apery_pivot_validation():
         sg.apery(0)
     with pytest.raises(PivotNotInSemigroup):
         sg.apery(7)
-    # one table cell per residue, refused before anything is allocated
     with pytest.raises(ResourceLimit):
         NumericalSemigroup([5, 7], cell_limit=4).apery(5)
+
+
+def test_apery_table_budget():
+    # <3, 5> has F = 7: the table of pivot 8 needs F + 8 + 1 = 16 cells
+    assert NumericalSemigroup([3, 5], cell_limit=16).apery(8).w == (0, 9, 10, 3, 12, 5, 6, 15)
+    with pytest.raises(ResourceLimit, match="needs 16 cells .* 15-cell budget"):
+        NumericalSemigroup([3, 5], cell_limit=15).apery(8)
+    # at the multiplicity it needs exactly the membership table's F + m + 1
+    assert NumericalSemigroup([3, 5], cell_limit=11).apery(3).w == (0, 10, 5)
+    # a huge pivot is refused before anything of its size is allocated
+    with pytest.raises(ResourceLimit, match="needs 100000000000000000008 cells"):
+        NumericalSemigroup([3, 5]).apery(10**20)
+
+
+def test_apery_out_of_budget_semigroup_refused_quickly():
+    # F is about 10^12: the membership table gives up at the 10^7-cell budget
+    sg = NumericalSemigroup([1000003, 1000033])
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimit):
+        sg.apery(2000006)
+    with pytest.raises(ResourceLimit):
+        sg.frobenius()
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_apery_known_table():
@@ -213,6 +237,43 @@ def coprime_generators(draw):
     if g != 1:
         gens.append(g + 1)  # consecutive integers are coprime
     return gens
+
+
+def dijkstra_apery(gens, n):
+    """Ap(S, n) by Nijenhuis's minimal-path algorithm (Amer. Math. Monthly,
+    1979): single-source shortest paths on the residues mod n, each arc
+    adding one generator; the distance to residue r is the least element
+    congruent to r.  An independent route to compare the bitset against.
+    """
+    dist = [None] * n
+    dist[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if d != dist[r]:
+            continue  # stale entry
+        for g in gens:
+            nd, nr = d + g, (r + g) % n
+            if dist[nr] is None or nd < dist[nr]:
+                dist[nr] = nd
+                heapq.heappush(heap, (nd, nr))
+    return tuple(dist)  # gcd 1: every residue is reached
+
+
+@given(coprime_generators())
+@settings(max_examples=150, deadline=None)
+def test_apery_bitset_equals_dijkstra(gens):
+    sg = NumericalSemigroup(gens)
+    m, top = sg.multiplicity, sg.generators[-1]
+    # the multiplicity, the largest generator, and an element that is no generator
+    for n in (m, top, m + top):
+        assert sg.apery(n) == AperyTable(n, dijkstra_apery(sg.generators, n))
+    # g + n(S) = F + 1, with F and g from the Dijkstra table, n(S) from the bitset
+    w = dijkstra_apery(sg.generators, m)
+    f = max(w) - m
+    twice_g = 2 * sum(w) - m * (m - 1)
+    assert twice_g % (2 * m) == 0
+    assert twice_g // (2 * m) + sg.n_count() == f + 1
 
 
 @given(coprime_generators())
