@@ -1,11 +1,12 @@
 """Numerical-semigroup invariants for Fibonacci-shift generator families.
 
-Three layers: ``fibonacci`` (Zeckendorf decompositions and minimal-weight
-representations), ``semigroup_core`` (a generic brute-force oracle for any
-coprime generator list), and ``fib_family`` (closed forms for the semigroups
-generated by f_a + f_0, f_a + f_1, ...).  The closed forms and the oracle
-compute the same invariants by unrelated algorithms; the test suite and the
-``verify`` CLI subcommand hold them to exact agreement.
+Three layers: ``fibonacci`` (Zeckendorf decompositions, the beta/gamma
+statistics and the reduction step), ``semigroup_core`` (a generic
+brute-force oracle for any coprime generator list), and ``fib_family``
+(closed forms for the semigroups generated by f_a + f_0, f_a + f_1, ...).
+The closed forms and the oracle compute the same invariants by unrelated
+algorithms; the test suite and the ``verify`` CLI subcommand hold them to
+exact agreement.
 """
 from .fibonacci import (
     CoefficientVector,
@@ -13,8 +14,6 @@ from .fibonacci import (
     beta,
     fib,
     gamma,
-    min_weight_oracle,
-    min_weight_table,
     reduce_by_fib,
     zeckendorf,
 )
@@ -58,8 +57,6 @@ __all__ = [
     "ZeckendorfDecomposition",
     "CoefficientVector",
     "reduce_by_fib",
-    "min_weight_table",
-    "min_weight_oracle",
     "NumericalSemigroup",
     "AperyTable",
     "WilfResult",

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from . import fib_family
 from .fib_family import DEFAULT_TABLE_BOUND, FamilySummary, TableTooLarge
 from .fibonacci import beta, fib
-from .semigroup_core import NumericalSemigroup, ResourceLimit, SemigroupError
+from .semigroup_core import (
+    DEFAULT_CELL_LIMIT, NumericalSemigroup, ResourceLimit, SemigroupError,
+)
 
 __all__ = [
     "main",
@@ -40,8 +42,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-DEFAULT_SWEEP_BOUND = 1_000_000  # largest f_a the verify oracle will attempt
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
 
@@ -117,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check every closed form against the brute-force oracle")
     p.add_argument("a_max", type=_nonneg)
     p.add_argument(
-        "--oracle-bound", type=_positive, default=DEFAULT_SWEEP_BOUND, metavar="N",
-        help=f"largest multiplicity the brute-force oracle will attempt "
-             f"(default {DEFAULT_SWEEP_BOUND})",
+        "--oracle-bound", type=_positive, default=DEFAULT_CELL_LIMIT, metavar="N",
+        help=f"cell budget of the brute-force oracle's tables "
+             f"(default {DEFAULT_CELL_LIMIT})",
     )
     p.set_defaults(func=cmd_verify)
 
@@ -268,35 +268,33 @@ def _verify_one(a: int, args: argparse.Namespace) -> _VerifyOutcome:
     check("wilf-slack-nonnegative", s.wilf_slack >= 0)
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
-    if a <= 25:
+    if a <= fib_family.MAX_BIJECTION_INDEX:
         check("zeckendorf-bijection", fib_family.zeckendorf_bijection_check(a))
     else:
         out.skipped.append("zeckendorf-bijection")
 
-    family_table = None
-    if fa <= args.table_bound:
+    try:
         family_table = fib_family.family_apery(a, table_bound=args.table_bound)
+    except TableTooLarge:
+        family_table = None
+        out.skipped.append("apery-table")
+    else:
         check("apery-max-frobenius", max(family_table.w) - fa == f)
         check("apery-beta-sum-genus",
               sum((w - x) // fa for x, w in enumerate(family_table.w)) == g)
-    else:
-        out.skipped.append("apery-table")
 
-    if fa <= args.oracle_bound:
-        try:
-            oracle = NumericalSemigroup(gens)
-            oracle_n = oracle.n_count()  # an out-of-budget table refuses first
-            check("oracle-multiplicity", oracle.multiplicity == m)
-            check("oracle-frobenius", oracle.frobenius() == f)
-            check("oracle-genus", oracle.genus() == g)
-            check("oracle-n-count", oracle_n == n)
-            check("oracle-minimal-generators", oracle.minimal_generators() == gens)
-            if family_table is not None:
-                check("oracle-apery-table", oracle.apery(fa) == family_table)
-        except ResourceLimit as exc:
-            out.skipped.append(f"oracle ({exc})")
-    else:
-        out.skipped.append("oracle")
+    try:
+        oracle = NumericalSemigroup(gens, cell_limit=args.oracle_bound)
+        oracle_n = oracle.n_count()  # an out-of-budget table refuses first
+        check("oracle-multiplicity", oracle.multiplicity == m)
+        check("oracle-frobenius", oracle.frobenius() == f)
+        check("oracle-genus", oracle.genus() == g)
+        check("oracle-n-count", oracle_n == n)
+        check("oracle-minimal-generators", oracle.minimal_generators() == gens)
+        if family_table is not None:
+            check("oracle-apery-table", oracle.apery(fa) == family_table)
+    except ResourceLimit as exc:
+        out.skipped.append(f"oracle ({exc})")
 
     out.ms = int((time.perf_counter() - t0) * 1000)
     return out

@@ -20,6 +20,7 @@ __all__ = [
     "EnumerationTooLarge",
     "DEFAULT_TABLE_BOUND",
     "MAX_SUBSET_INDEX",
+    "MAX_BIJECTION_INDEX",
     "family_generators",
     "family_apery",
     "family_apery_value",
@@ -36,6 +37,7 @@ __all__ = [
 
 DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a for which a full Apery table is built
 MAX_SUBSET_INDEX = 40  # sparse-subset enumeration cutoff
+MAX_BIJECTION_INDEX = 25  # largest a the Zeckendorf bijection check walks
 
 
 class TableTooLarge(ResourceLimit):
@@ -184,8 +186,8 @@ def zeckendorf_bijection_check(a: int) -> bool:
     sparse subsets of every size from 1 to floor((a - 1) / 2).  Also checks
     the classical consequence f_a = sum over j of C(a - 1 - j, j).
     """
-    if not 3 <= a <= 25:
-        raise ValueError("bijection check supports 3 <= a <= 25")
+    if not 3 <= a <= MAX_BIJECTION_INDEX:
+        raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
     fa = fib(a)
     top = (a - 1) // 2
     if fa != sum(comb(a - 1 - j, j) for j in range(top + 1)):

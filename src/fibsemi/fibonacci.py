@@ -19,9 +19,6 @@ __all__ = [
     "ZeckendorfDecomposition",
     "CoefficientVector",
     "reduce_by_fib",
-    "min_weight_table",
-    "min_weight_oracle",
-    "DEFAULT_ORACLE_BOUND",
 ]
 
 # Append-only memo: _FIBS[n] == fib(n).
@@ -188,34 +185,3 @@ def reduce_by_fib(v: CoefficientVector) -> CoefficientVector:
     c = reduce_by_fib(CoefficientVector(a - 2, tuple(b[:-2])))
     c = reduce_by_fib(CoefficientVector(a - 1, c.coeffs + (0,)))
     return CoefficientVector(a, c.coeffs + (0,))
-
-
-DEFAULT_ORACLE_BOUND = 100_000
-
-
-def min_weight_table(limit: int, max_index: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> list[int]:
-    """dp[t] = least summand count for t over the coin set {fib(2), ..., fib(max_index)}.
-
-    Unbounded coin-change DP, the independent oracle for beta's minimality.
-    Test-only component, capped at ``bound`` cells to stay desk-scale.
-    """
-    if max_index < 2:
-        raise ValueError("max_index must be at least 2")
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    if limit > bound:
-        raise ValueError(f"limit {limit} exceeds the oracle bound {bound}")
-    coins = [fib(i) for i in range(2, max_index + 1)]
-    unreachable = limit + 1  # true counts never exceed limit: the 1-coin is present
-    dp = [0] + [unreachable] * limit
-    for c in coins:
-        for t in range(c, limit + 1):
-            alt = dp[t - c] + 1
-            if alt < dp[t]:
-                dp[t] = alt
-    return dp
-
-
-def min_weight_oracle(x: int, max_index: int, *, bound: int = DEFAULT_ORACLE_BOUND) -> int:
-    """Exhaustive minimum of sum(c_i) over all c with sum(c_i * fib(i)) == x."""
-    return min_weight_table(x, max_index, bound=bound)[x]

@@ -26,8 +26,9 @@ from fibsemi.fib_family import (
     kaplansky_count,
     zeckendorf_bijection_check,
 )
-from fibsemi.fibonacci import beta, fib, gamma, min_weight_table, zeckendorf
+from fibsemi.fibonacci import beta, fib, gamma, zeckendorf
 from fibsemi.semigroup_core import NumericalSemigroup
+from min_weight import min_weight_table
 
 
 def _pass(num: int, t0: float, description: str) -> None:

@@ -217,12 +217,36 @@ def test_verify_single_parameter(capsys):
     assert out.splitlines()[0].startswith("a=3")
 
 
+def _budget_skip(m: int, cells: int) -> str:
+    return (f"oracle (membership table: no run of {m} consecutive elements "
+            f"within the {cells}-cell budget)")
+
+
 def test_verify_oracle_bound_cuts_over(capsys):
-    code, out, _ = run(capsys, "verify", "20", "--oracle-bound", "1000")
+    code, out, _ = run(capsys, "verify", "13", "--oracle-bound", "1000")
     assert code == EXIT_OK
     by_a = {l.split()[0]: l for l in out.splitlines() if l.startswith("a=")}
-    assert "skipped" not in by_a["a=16"]  # fib(16) = 987 <= 1000
-    assert "oracle" in by_a["a=17"]  # fib(17) = 1597 skips the oracle
+    assert "skipped" not in by_a["a=12"]  # F + m + 1 = 719 + 144 + 1 = 864 cells
+    assert _budget_skip(233, 1000) in by_a["a=13"]  # 1397 + 233 + 1 = 1631 cells
+
+
+def test_verify_oracle_bound_is_the_cell_budget(capsys):
+    # a = 9 needs F + m + 1 = 135 + 34 + 1 = 170 cells
+    code, out, _ = run(capsys, "verify", "9", "--oracle-bound", "170", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)[-1]["skipped"] == []
+    code, out, _ = run(capsys, "verify", "9", "--oracle-bound", "169", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)[-1]["skipped"] == [_budget_skip(34, 169)]
+
+
+def test_verify_default_oracle_budget_names_itself():
+    # one parameter only: verify 31 would first run the oracle for every a <= 29
+    args = cli.build_parser().parse_args(["verify", "31", "--table-bound", "1"])
+    outcome = cli._verify_one(31, args)
+    assert outcome.failures == []
+    assert outcome.skipped == ["zeckendorf-bijection", "apery-table",
+                               _budget_skip(1346269, 10_000_000)]
 
 
 def test_verify_csv_records(capsys):
@@ -248,11 +272,13 @@ def test_verify_machine_formats_report_skipped_checks(capsys):
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
     assert list(rows[0])[-2:] == ["verified", "skipped"]
-    assert [r["skipped"] for r in rows] == [""] * 9 + ["oracle"]  # fib(12) = 144
+    # a = 8 needs 62 + 21 + 1 = 84 cells, a = 9 needs 170
+    skips = [_budget_skip(m, 100) for m in (34, 55, 89, 144)]
+    assert [r["skipped"] for r in rows] == [""] * 6 + skips
     code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "100",
                        "--format", "json")
     assert code == EXIT_OK
-    assert [r["skipped"] for r in json.loads(out)] == [[]] * 9 + [["oracle"]]
+    assert [r["skipped"] for r in json.loads(out)] == [[]] * 6 + [[s] for s in skips]
 
 
 def test_verify_reports_the_skipped_bijection_check(capsys, monkeypatch):
@@ -261,7 +287,7 @@ def test_verify_reports_the_skipped_bijection_check(capsys, monkeypatch):
                        "--table-bound", "1", "--format", "csv")
     assert code == EXIT_OK
     rows = {int(r["a"]): r["skipped"].split("; ") for r in csv.DictReader(io.StringIO(out))}
-    assert rows[26] == ["zeckendorf-bijection", "apery-table", "oracle"]
+    assert rows[26] == ["zeckendorf-bijection", "apery-table", _budget_skip(121393, 1)]
     assert not any("zeckendorf-bijection" in rows[a] for a in range(3, 26))
     monkeypatch.setattr(fib_family, "zeckendorf_bijection_check", lambda a: True)
     code, out, _ = run(capsys, "verify", "26", "--oracle-bound", "1",
@@ -468,7 +494,8 @@ def test_exit_code_is_always_documented(command, bad, stray, rnd):
     for token in bad:  # one positional swapped for a malformed token
         argv[rnd.randrange(1, len(argv))] = token
     argv += [t for flag in stray for t in flag]
-    # a small oracle budget keeps every semigroup allocation tiny
+    # a small budget keeps every `semigroup` allocation tiny; `verify` passes
+    # its own --oracle-bound, and a <= 12 needs at most 864 cells
     small = partial(NumericalSemigroup, cell_limit=50_000)
     with mock.patch.object(cli, "NumericalSemigroup", small), \
             redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):

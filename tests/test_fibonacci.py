@@ -12,11 +12,10 @@ from fibsemi.fibonacci import (
     beta,
     fib,
     gamma,
-    min_weight_oracle,
-    min_weight_table,
     reduce_by_fib,
     zeckendorf,
 )
+from min_weight import min_weight_oracle, min_weight_table
 
 
 def test_fib_base_values():
