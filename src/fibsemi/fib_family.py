@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .fibonacci import beta, fib, zeckendorf
+from .fibonacci import beta, fib, gamma, zeckendorf
 from .semigroup_core import AperyTable, ResourceLimit
 
 __all__ = [
@@ -81,13 +81,17 @@ def family_apery(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> AperyTabl
     """Full Apery table at the multiplicity f_a, straight from the formula."""
     if a < 0:
         raise ValueError("index must be nonnegative")
-    fa = fib(a)
-    if fa <= 1:
+    if a <= 2:
         return AperyTable(1, (0,))
-    if fa > table_bound:
+    # f_a <= bound exactly when a <= gamma(bound), so an index over the bound
+    # is refused before f_a, which has about a / 5 digits, is ever computed
+    top = gamma(max(table_bound, 0))
+    if a > top:
+        need = f"= {fib(a)}" if a == top + 1 else f">= f_{top + 1} = {fib(top + 1)}"
         raise TableTooLarge(
-            f"Apery table needs f_{a} = {fa} entries, above the bound {table_bound}"
+            f"Apery table needs f_{a} {need} entries, above the bound {table_bound}"
         )
+    fa = fib(a)
     return AperyTable(fa, tuple(beta(x) * fa + x for x in range(fa)))
 
 
@@ -217,7 +221,6 @@ class FamilySummary:
     """Closed-form invariants for one family index."""
 
     a: int
-    generators: tuple[int, ...]
     embedding_dimension: int
     multiplicity: int
     frobenius: int
@@ -225,29 +228,36 @@ class FamilySummary:
     n_count: int
     wilf_slack: int
 
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """The minimal generators, built on each access: a - 1 big integers."""
+        return family_generators(self.a)
+
 
 def family_summary(a: int) -> FamilySummary:
-    """All closed-form invariants; cheap even for very large ``a``.
+    """All closed-form invariants: a fixed few big-integer operations per ``a``.
 
+    e = a - 1 is the paper's count of minimal generators and m = f_a the
+    least of them (both 1 for a <= 2, where S = N); the generator tuple
+    itself is only built when :attr:`FamilySummary.generators` is read.
     n_count comes from the identity g + n = F + 1 rather than enumeration,
     and the Wilf slack is e * n - (F + 1).  Neither is asserted nonnegative
-    here: ``verify`` checks both as labelled checks, so a faulty closed form
-    is reported as a mismatch rather than raised.
+    here: ``verify`` checks both, and e and m against the generator tuple,
+    as labelled checks, so a faulty closed form is reported as a mismatch
+    rather than raised.
     """
     if a < 0:
         raise ValueError("index must be nonnegative")
-    gens = family_generators(a)
+    e, m = (a - 1, fib(a)) if a >= 3 else (1, 1)
     f = family_frobenius(a)
     g = family_genus(a)
     n = f + 1 - g
-    slack = len(gens) * n - (f + 1)
     return FamilySummary(
         a=a,
-        generators=gens,
-        embedding_dimension=len(gens),
-        multiplicity=gens[0],
+        embedding_dimension=e,
+        multiplicity=m,
         frobenius=f,
         genus=g,
         n_count=n,
-        wilf_slack=slack,
+        wilf_slack=e * n - (f + 1),
     )

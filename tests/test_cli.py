@@ -154,6 +154,17 @@ def test_apery_bound_flag_is_effective(capsys):
     assert len(out.splitlines()) == 1598  # header plus fib(17) = 1597 rows
 
 
+def test_apery_refuses_a_huge_index_in_one_short_line(capsys):
+    # f_1000000 has 208,988 digits; the refusal neither computes nor prints it
+    code, out, err = run(capsys, "apery", "1000000")
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("TableTooLarge: Apery table needs f_1000000 ")
+    assert lines[0].endswith(" above the bound 1000000")
+    assert all(len(line) < 200 for line in lines), lines
+
+
 # -- table ------------------------------------------------------------------------
 
 def test_table_csv_schema_and_values(capsys):
@@ -306,6 +317,17 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "10")
     assert code == EXIT_MISMATCH
     assert "mismatch" in out
+
+
+def test_verify_checks_closed_form_e_and_m_against_the_generators(capsys, monkeypatch):
+    real = fib_family.family_generators
+    monkeypatch.setattr(fib_family, "family_generators", lambda a: real(a)[:-1])
+    code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1")
+    assert code == EXIT_MISMATCH
+    failed = {line.split()[0] for line in out.splitlines()
+              if line.startswith("a=") and " FAIL" in line}
+    assert failed == {f"a={a}" for a in range(3, 13)}
+    assert out.count("  mismatch: embedding-dimension\n") == 10
 
 
 def test_verify_fault_visible_in_machine_formats(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Closed forms for the Fibonacci-shift family against the brute-force oracle."""
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,19 @@ def test_apery_table_bound_enforced():
     with pytest.raises(TableTooLarge):
         family_apery(10, table_bound=50)
     assert family_apery(10, table_bound=55).n == 55
+
+
+def test_apery_table_bound_refuses_before_computing_f_a():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableTooLarge, match=r"f_100000 >= f_31 = 1346269 .* 1000000$"):
+            family_apery(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    with pytest.raises(TableTooLarge, match=r"f_31 = 1346269 entries"):
+        family_apery(31)
 
 
 def test_apery_matches_oracle():

@@ -11,16 +11,21 @@ from pathlib import Path
 
 import pytest
 
+from fibsemi import fib_family
 from fibsemi.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("argv, snapshot", [
+    ("table 0 60", "table_0_60.txt"),
     ("table 0 60 --format csv", "table_0_60.csv"),
+    ("table 0 60 --format json", "table_0_60.json"),
     ("apery 12 --format csv", "apery_12.csv"),
     ("apery 12", "apery_12.txt"),
     ("apery 12 --format json", "apery_12.json"),
+    ("info 7", "info_7.txt"),
+    ("info 7 --format csv", "info_7.csv"),
     ("info 90 --format json", "info_90.json"),
     ("semigroup 6 9 20 --format json", "semigroup_6_9_20.json"),
     ("verify 20", "verify_20.txt"),
@@ -31,3 +36,17 @@ def test_output_matches_snapshot(capsys, argv, snapshot):
     assert main(argv.split()) == EXIT_OK
     out = re.sub(r" \d+ms$", "", capsys.readouterr().out, flags=re.M)
     assert out == (GOLDEN / snapshot).read_text()
+
+
+@pytest.mark.parametrize("fmt, snapshot", [
+    ("text", "table_0_60.txt"),
+    ("csv", "table_0_60.csv"),
+    ("json", "table_0_60.json"),
+])
+def test_table_builds_no_generators(capsys, monkeypatch, fmt, snapshot):
+    def refuse(a):
+        raise AssertionError(f"table built the generators of a = {a}")
+
+    monkeypatch.setattr(fib_family, "family_generators", refuse)
+    assert main(["table", "0", "60", "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / snapshot).read_text()
