@@ -16,6 +16,7 @@ from .fibonacci import (
     gamma,
     reduce_by_fib,
     zeckendorf,
+    zeckendorf_indices,
 )
 from .semigroup_core import (
     AperyTable,
@@ -54,6 +55,7 @@ __all__ = [
     "gamma",
     "beta",
     "zeckendorf",
+    "zeckendorf_indices",
     "ZeckendorfDecomposition",
     "CoefficientVector",
     "reduce_by_fib",

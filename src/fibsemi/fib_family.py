@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .fibonacci import beta, fib, gamma, zeckendorf
+from .fibonacci import beta, fib, gamma, zeckendorf_indices
 from .semigroup_core import AperyTable, ResourceLimit
 
 __all__ = [
@@ -184,11 +184,20 @@ def enumerate_sparse_subsets(n: int, m: int) -> list[tuple[int, ...]]:
 def zeckendorf_bijection_check(a: int) -> bool:
     """Zeckendorf index sets of 1..f_a - 1 hit each sparse subset exactly once.
 
-    B(x) is an index set inside {2..a - 1} with no two consecutive members,
-    and distinct x give distinct sets.  Checking injectivity plus per-size
-    counts against kaplansky_count pins the map as a bijection onto the
-    sparse subsets of every size from 1 to floor((a - 1) / 2).  Also checks
-    the classical consequence f_a = sum over j of C(a - 1 - j, j).
+    One pass over x, walking B(x) with :func:`zeckendorf_indices` (the greedy
+    walk, independent of :func:`family_apery` and of any recursion) and
+    keeping only a count per set size, so memory does not grow with f_a.
+    Each B(x) must lie in {2..a - 1}, with no two consecutive members, and
+    its Fibonacci values must sum back to x.
+
+    Injectivity: summing the indices recovers x, so the map x -> B(x) has a
+    left inverse and distinct x give distinct sets; no set of seen keys is
+    needed.  Surjectivity: the map is an injection from 1..f_a - 1 into the
+    nonempty sparse subsets of {2..a - 1}; when its image has exactly
+    kaplansky_count(a, m) sets of each size m >= 1 (and none of size 0), it
+    fills every size class, so it is onto.  Also checks the classical
+    consequence f_a = sum over j of C(a - 1 - j, j), which with the counts
+    gives f_a - 1 sets in all.
     """
     if not 3 <= a <= MAX_BIJECTION_INDEX:
         raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
@@ -196,24 +205,23 @@ def zeckendorf_bijection_check(a: int) -> bool:
     top = (a - 1) // 2
     if fa != sum(comb(a - 1 - j, j) for j in range(top + 1)):
         return False
-    seen: set[tuple[int, ...]] = set()
-    per_size: dict[int, int] = {}
+    fibs = [fib(i) for i in range(a)]
+    # a sparse subset of {2..a - 1} has at most top members
+    per_size = [0] * (top + 1)
     for x in range(1, fa):
-        dec = zeckendorf(x)
-        key = dec.indices
-        if key in seen:
+        key = zeckendorf_indices(x)
+        total = 0
+        prev = 0  # so the first index must be >= 2
+        for i in key:
+            # the bound is tested before fibs[i] is read: a bad key is False
+            if not prev + 2 <= i < a:
+                return False
+            total += fibs[i]
+            prev = i
+        if total != x:
             return False
-        if key[0] < 2 or key[-1] > a - 1:
-            return False
-        if any(hi - lo < 2 for lo, hi in zip(key, key[1:])):
-            return False
-        seen.add(key)
-        per_size[dec.beta] = per_size.get(dec.beta, 0) + 1
-    if set(per_size) != set(range(1, top + 1)):
-        return False
-    if any(per_size[m] != kaplansky_count(a, m) for m in per_size):
-        return False
-    return sum(per_size.values()) == fa - 1
+        per_size[len(key)] += 1
+    return per_size == [0] + [kaplansky_count(a, m) for m in range(1, top + 1)]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ __all__ = [
     "gamma",
     "beta",
     "zeckendorf",
+    "zeckendorf_indices",
     "ZeckendorfDecomposition",
     "CoefficientVector",
     "reduce_by_fib",
@@ -59,9 +60,10 @@ def gamma(x: int) -> int:
 def beta(x: int) -> int:
     """Minimum of sum(b_i) over all representations x = sum(b_i * fib(i)), i >= 2.
 
-    Equals the Zeckendorf summand count; computed by the same greedy walk as
-    :func:`zeckendorf` but without building the index tuple (this is the hot
-    path when materializing family Apery tables).
+    Equals the Zeckendorf summand count: the number of steps of the greedy
+    walk in :func:`zeckendorf_indices`, counted here without building the
+    index tuple (this is the hot path when materializing family Apery
+    tables).
     """
     if x < 0:
         raise ValueError("beta is defined on nonnegative integers")
@@ -93,12 +95,13 @@ class ZeckendorfDecomposition:
         return tuple(fib(i) for i in self.indices)
 
 
-def zeckendorf(x: int) -> ZeckendorfDecomposition:
-    """Greedy Zeckendorf decomposition of a nonnegative integer.
+def zeckendorf_indices(x: int) -> tuple[int, ...]:
+    """The Zeckendorf index set B(x) of a nonnegative integer, increasing.
 
-    Repeatedly subtracting the largest fib(l) <= remainder yields the unique
-    representation with non-consecutive indices >= 2 (each step drops the top
-    index by at least 2, which is exactly the non-consecutive condition).
+    The one greedy walk: repeatedly subtracting the largest fib(l) <= remainder
+    yields the unique representation with non-consecutive indices >= 2 (each
+    step drops the top index by at least 2, which is exactly the
+    non-consecutive condition).  B(0) is the empty tuple.
     """
     if x < 0:
         raise ValueError("cannot decompose a negative integer")
@@ -109,7 +112,16 @@ def zeckendorf(x: int) -> ZeckendorfDecomposition:
         i = bisect_right(_FIBS, r) - 1
         rev.append(i)
         r -= _FIBS[i]
-    indices = tuple(reversed(rev))
+    return tuple(reversed(rev))
+
+
+def zeckendorf(x: int) -> ZeckendorfDecomposition:
+    """Greedy Zeckendorf decomposition of a nonnegative integer.
+
+    The indices come from the shared walk :func:`zeckendorf_indices`; this
+    wraps them with their count and top index.
+    """
+    indices = zeckendorf_indices(x)
     return ZeckendorfDecomposition(x, indices, len(indices), indices[-1] if indices else 0)
 
 

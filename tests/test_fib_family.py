@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibsemi import fib_family
 from fibsemi.fib_family import (
     EnumerationTooLarge,
     TableTooLarge,
@@ -22,7 +23,7 @@ from fibsemi.fib_family import (
     kaplansky_count,
     zeckendorf_bijection_check,
 )
-from fibsemi.fibonacci import beta, fib
+from fibsemi.fibonacci import beta, fib, zeckendorf_indices
 from fibsemi.semigroup_core import NumericalSemigroup
 
 
@@ -234,6 +235,37 @@ def test_bijection_check_examples():
         zeckendorf_bijection_check(2)
     with pytest.raises(ValueError):
         zeckendorf_bijection_check(26)
+
+
+@pytest.mark.parametrize("x, bad_key", [
+    (12, (2, 4, 7)),  # sparse and in range, but sums to 17
+    (12, (1, 4, 6)),  # sums to 12 through index 1
+    (12, (2, 10)),  # index a: refused before fib(10) is looked up
+    (13, (5, 6)),  # sums to 13 through two consecutive indices
+    (12, (6, 2, 4)),  # sums to 12, not increasing
+    (12, ()),
+    (12, zeckendorf_indices(11)),  # a second x's correct key
+])
+def test_bijection_check_rejects_a_bad_key(monkeypatch, x, bad_key):
+    a = 10
+    assert zeckendorf_bijection_check(a)
+
+    def walk(y):
+        return bad_key if y == x else zeckendorf_indices(y)
+
+    monkeypatch.setattr(fib_family, "zeckendorf_indices", walk)
+    assert zeckendorf_bijection_check(a) is False
+
+
+def test_bijection_check_memory_does_not_grow_with_fa():
+    fib(24)  # the Fibonacci memo is shared state, not the check's memory
+    tracemalloc.start()
+    try:
+        assert zeckendorf_bijection_check(24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256_000, peak
 
 
 def test_bijection_class_sizes_for_a7():

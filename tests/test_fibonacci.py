@@ -14,6 +14,7 @@ from fibsemi.fibonacci import (
     gamma,
     reduce_by_fib,
     zeckendorf,
+    zeckendorf_indices,
 )
 from min_weight import min_weight_oracle, min_weight_table
 
@@ -110,6 +111,24 @@ def test_zeckendorf_reconstructs_and_is_sparse(x):
         assert d.gamma == d.indices[-1] == gamma(x)
     else:
         assert d.gamma == 0
+
+
+def _assert_one_walk(x):
+    indices = zeckendorf_indices(x)
+    d = zeckendorf(x)
+    assert d.indices == indices
+    assert d.beta == len(indices) == beta(x)
+    assert d.gamma == (gamma(x) if x else 0)
+
+
+def test_zeckendorf_and_beta_share_the_walk_below_f20():
+    for x in range(fib(20)):
+        _assert_one_walk(x)
+
+
+@given(st.integers(min_value=0, max_value=10**40 - 1))
+def test_zeckendorf_and_beta_share_the_walk_for_large_x(x):
+    _assert_one_walk(x)
 
 
 # -- beta -------------------------------------------------------------------

@@ -31,6 +31,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("verify 20", "verify_20.txt"),
     ("verify 20 --format json", "verify_20.json"),
     ("verify 20 --format csv", "verify_20.csv"),
+    ("verify 26 --oracle-bound 1 --table-bound 1 --format csv", "verify_26_bounded.csv"),
 ])
 def test_output_matches_snapshot(capsys, argv, snapshot):
     assert main(argv.split()) == EXIT_OK
