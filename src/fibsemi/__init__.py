@@ -1,6 +1,6 @@
 """Numerical-semigroup invariants for Fibonacci-shift generator families.
 
-Three layers: ``fibonacci`` (Zeckendorf decompositions, the beta/gamma
+Three layers: ``fibonacci`` (Zeckendorf index sets, the beta/gamma
 statistics and the reduction step), ``semigroup_core`` (a generic
 brute-force oracle for any coprime generator list), and ``fib_family``
 (closed forms for the semigroups generated by f_a + f_0, f_a + f_1, ...).
@@ -10,12 +10,10 @@ exact agreement.
 """
 from .fibonacci import (
     CoefficientVector,
-    ZeckendorfDecomposition,
     beta,
     fib,
     gamma,
     reduce_by_fib,
-    zeckendorf,
     zeckendorf_indices,
 )
 from .semigroup_core import (
@@ -54,9 +52,7 @@ __all__ = [
     "fib",
     "gamma",
     "beta",
-    "zeckendorf",
     "zeckendorf_indices",
-    "ZeckendorfDecomposition",
     "CoefficientVector",
     "reduce_by_fib",
     "NumericalSemigroup",

@@ -7,8 +7,8 @@ Output is text, CSV, or JSON; every number is printed as an exact decimal
 integer, never a float.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
-3 resource limit or an output stream that cannot be written (closed pipe,
-full disk).
+3 resource limit, out of memory, or an output stream that cannot be written
+(closed pipe, full disk).
 """
 from __future__ import annotations
 
@@ -393,6 +393,9 @@ def _run(args: argparse.Namespace) -> int:
         if isinstance(exc, TableTooLarge):
             print("hint: raise --table-bound to materialize larger tables",
                   file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("fibsemi: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except SemigroupError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

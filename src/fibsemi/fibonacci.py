@@ -1,10 +1,13 @@
-"""Exact Fibonacci arithmetic, Zeckendorf decompositions, and the
+"""Exact Fibonacci arithmetic, Zeckendorf index sets, and the
 representation-reduction procedure.
 
 Everything works on unbounded Python integers; there is no floating-point
 (Binet) evaluation anywhere.  Index convention: fib(0) = 0, fib(1) = 1, and
 all decomposition indices start at 2, so the duplicated value
 fib(1) == fib(2) == 1 is always represented by index 2.
+
+B(x), beta(x) and gamma(x) have one function each; the reduction of x >= f_a
+to a lighter x - f_a is one recursive carry on a single coefficient list.
 """
 from __future__ import annotations
 
@@ -15,9 +18,7 @@ __all__ = [
     "fib",
     "gamma",
     "beta",
-    "zeckendorf",
     "zeckendorf_indices",
-    "ZeckendorfDecomposition",
     "CoefficientVector",
     "reduce_by_fib",
 ]
@@ -76,25 +77,6 @@ def beta(x: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ZeckendorfDecomposition:
-    """The unique non-consecutive Fibonacci representation of ``x``.
-
-    ``indices`` is the index set B(x) as a strictly increasing tuple of
-    integers >= 2; ``beta`` is the summand count and ``gamma`` the largest
-    index (0 when x == 0, where the index tuple is empty).
-    """
-
-    x: int
-    indices: tuple[int, ...]
-    beta: int
-    gamma: int
-
-    def summands(self) -> tuple[int, ...]:
-        """The Fibonacci values fib(i) for i in ``indices``."""
-        return tuple(fib(i) for i in self.indices)
-
-
 def zeckendorf_indices(x: int) -> tuple[int, ...]:
     """The Zeckendorf index set B(x) of a nonnegative integer, increasing.
 
@@ -113,16 +95,6 @@ def zeckendorf_indices(x: int) -> tuple[int, ...]:
         rev.append(i)
         r -= _FIBS[i]
     return tuple(reversed(rev))
-
-
-def zeckendorf(x: int) -> ZeckendorfDecomposition:
-    """Greedy Zeckendorf decomposition of a nonnegative integer.
-
-    The indices come from the shared walk :func:`zeckendorf_indices`; this
-    wraps them with their count and top index.
-    """
-    indices = zeckendorf_indices(x)
-    return ZeckendorfDecomposition(x, indices, len(indices), indices[-1] if indices else 0)
 
 
 @dataclass(frozen=True)
@@ -152,48 +124,41 @@ class CoefficientVector:
 def reduce_by_fib(v: CoefficientVector) -> CoefficientVector:
     """Subtract fib(a) from the represented value while strictly lowering the weight.
 
-    Case order: the two direct top-coefficient adjustments, then the small-a
-    base cases, then recursion one or two indices down.  Recursion depth is
-    at most ``a``.  Raises ValueError when value(v) < fib(a).
+    Raises ValueError when value(v) < fib(a); else :func:`_carry` does the work.
     """
-    a = v.a
-    f_a = fib(a)
-    if v.value() < f_a:
-        raise ValueError(f"vector value {v.value()} is below fib({a}) = {f_a}")
-    b = list(v.coeffs)
+    a, value = v.a, v.value()
+    if value < fib(a):
+        raise ValueError(f"vector value {value} is below fib({a}) = {fib(a)}")
+    b = [0, 0, *v.coeffs]
+    _carry(b, a)
+    return CoefficientVector(a, tuple(b[2:]))
 
-    if a == 3:
-        # single coefficient over fib(2) = 1: subtract fib(3) directly
-        return CoefficientVector(3, (b[0] - f_a,))
 
-    # direct case 1: fib(a-2) + fib(a-1) == fib(a)
-    if b[-2] >= 1 and b[-1] >= 1:
-        b[-2] -= 1
-        b[-1] -= 1
-        return CoefficientVector(a, tuple(b))
-    # direct case 2: 2*fib(a-1) == fib(a) + fib(a-3); for a == 4 the fib(1)
-    # credit is banked at index 2 (fib(1) == fib(2))
-    if b[-2] == 0 and b[-1] >= 2:
-        b[-1] -= 2
-        b[max(a - 3, 2) - 2] += 1
-        return CoefficientVector(a, tuple(b))
+def _carry(b: list[int], a: int) -> None:
+    """Lower sum(b[i] * fib(i) for 2 <= i < a), at least fib(a), by fib(a) in place.
 
-    if a == 4:
-        # remaining base case: (b_2, 0) with b_2 >= fib(4) = 3
-        return CoefficientVector(4, (b[0] - 3, 0))
-
-    # recursive cases, a >= 5
-    if b[-2] >= 1 and b[-1] == 0:
-        # spend one fib(a-2), owe fib(a-1) one level down
-        inner = b[:-1]
-        inner[-1] -= 1
-        c = reduce_by_fib(CoefficientVector(a - 1, tuple(inner)))
-        return CoefficientVector(a, c.coeffs + (0,))
-    if b[-2] == 0 and b[-1] == 1:
-        # spend the single fib(a-1), owe fib(a-2) two levels down
-        c = reduce_by_fib(CoefficientVector(a - 2, tuple(b[:-2])))
-        return CoefficientVector(a, c.coeffs + (0, 0))
-    # top two coefficients are zero: owe fib(a-2), then fib(a-1)
-    c = reduce_by_fib(CoefficientVector(a - 2, tuple(b[:-2])))
-    c = reduce_by_fib(CoefficientVector(a - 1, c.coeffs + (0,)))
-    return CoefficientVector(a, c.coeffs + (0,))
+    ``b[i]`` is the coefficient of fib(i); b[0] and b[1] are unused.  Case
+    order: the a = 3 base, the two direct top-coefficient adjustments, the
+    a = 4 base, then recursion one or two indices down (depth at most ``a``).
+    """
+    if a == 3:  # one coefficient over fib(2) = 1
+        b[2] -= 2
+    elif b[a - 2] and b[a - 1]:  # fib(a-2) + fib(a-1) == fib(a)
+        b[a - 2] -= 1
+        b[a - 1] -= 1
+    elif not b[a - 2] and b[a - 1] >= 2:
+        # 2*fib(a-1) == fib(a) + fib(a-3); for a == 4 the fib(1) credit is
+        # banked at index 2 (fib(1) == fib(2))
+        b[a - 1] -= 2
+        b[max(a - 3, 2)] += 1
+    elif a == 4:  # what is left: b[3] == 0 and b[2] >= fib(4) = 3
+        b[2] -= 3
+    elif b[a - 2]:  # b[a-1] == 0: spend one fib(a-2), owe fib(a-1) one level down
+        b[a - 2] -= 1
+        _carry(b, a - 1)
+    elif b[a - 1]:  # b[a-1] == 1: spend it, owe fib(a-2) two levels down
+        b[a - 1] = 0
+        _carry(b, a - 2)
+    else:  # the top two are zero: owe fib(a-2), then fib(a-1)
+        _carry(b, a - 2)
+        _carry(b, a - 1)

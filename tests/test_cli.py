@@ -482,6 +482,39 @@ def test_unwritable_help_exits_with_resource_code(capsys, monkeypatch, argv, fai
         "fibsemi: cannot write output: [Errno 28] No space left on device\n")
 
 
+def _no_memory(*_args, **_kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    (["info", "7"], fib_family, "family_summary"),
+    (["table", "0", "5"], fib_family, "family_summary"),
+    (["verify", "5"], fib_family, "family_summary"),
+    (["apery", "7"], fib_family, "family_apery"),
+    (["semigroup", "6", "9", "20"], NumericalSemigroup, "n_count"),
+], ids=["info", "table", "verify", "apery", "semigroup"])
+def test_out_of_memory_exits_with_resource_code(capsys, monkeypatch, argv, owner, name):
+    monkeypatch.setattr(owner, name, _no_memory)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_RESOURCE
+    assert err == "fibsemi: out of memory\n"
+
+
+def test_out_of_memory_in_a_limited_child_exits_with_resource_code():
+    # family_apery's tuple of f_60 entries outgrows a 64 MB address space, about
+    # three times what the interpreter needs to start and import fibsemi
+    resource = pytest.importorskip("resource")
+    limit = 64 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibsemi", "apery", "60",
+         "--table-bound", "1000000000000000", "--format", "csv"],
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == EXIT_RESOURCE
+    assert proc.stderr == "fibsemi: out of memory\n"
+
+
 def test_help_exits_ok(capsys):
     assert main(["--help"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("usage: fibsemi")

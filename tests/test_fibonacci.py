@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from fibsemi.fibonacci import (
     fib,
     gamma,
     reduce_by_fib,
-    zeckendorf,
     zeckendorf_indices,
 )
 from min_weight import min_weight_oracle, min_weight_table
@@ -78,47 +78,44 @@ def test_zeckendorf_unique_vs_exhaustive_search():
                 by_sum[s].append(combo)
     for x in range(501):
         assert len(by_sum[x]) == 1
-        assert zeckendorf(x).indices == by_sum[x][0]
+        assert zeckendorf_indices(x) == by_sum[x][0]
 
 
 def test_zeckendorf_zero_is_empty():
-    d = zeckendorf(0)
-    assert d.indices == () and d.beta == 0 and d.gamma == 0
+    assert zeckendorf_indices(0) == () and beta(0) == 0 and gamma(0) == 0
 
 
 def test_zeckendorf_paper_example():
     # 12 = f_2 + f_4 + f_6 = 1 + 3 + 8
-    d = zeckendorf(12)
-    assert d.indices == (2, 4, 6)
-    assert d.summands() == (1, 3, 8)
-    assert d.beta == 3
-    assert d.gamma == 6
+    indices = zeckendorf_indices(12)
+    assert indices == (2, 4, 6)
+    assert tuple(fib(i) for i in indices) == (1, 3, 8)
+    assert beta(12) == 3
+    assert gamma(12) == 6
 
 
 def test_zeckendorf_rejects_negative():
     with pytest.raises(ValueError):
-        zeckendorf(-1)
+        zeckendorf_indices(-1)
 
 
 @given(st.integers(min_value=0, max_value=10**12))
 def test_zeckendorf_reconstructs_and_is_sparse(x):
-    d = zeckendorf(x)
-    assert sum(d.summands()) == x
-    assert all(i >= 2 for i in d.indices)
-    assert all(b - a >= 2 for a, b in zip(d.indices, d.indices[1:]))
-    assert d.beta == len(d.indices) == beta(x)
+    indices = zeckendorf_indices(x)
+    assert sum(fib(i) for i in indices) == x
+    assert all(i >= 2 for i in indices)
+    assert all(b - a >= 2 for a, b in zip(indices, indices[1:]))
+    assert len(indices) == beta(x)
     if x:
-        assert d.gamma == d.indices[-1] == gamma(x)
+        assert indices[-1] == gamma(x)
     else:
-        assert d.gamma == 0
+        assert gamma(x) == 0
 
 
 def _assert_one_walk(x):
     indices = zeckendorf_indices(x)
-    d = zeckendorf(x)
-    assert d.indices == indices
-    assert d.beta == len(indices) == beta(x)
-    assert d.gamma == (gamma(x) if x else 0)
+    assert len(indices) == beta(x)
+    assert (indices[-1] if indices else 0) == (gamma(x) if x else 0)
 
 
 def test_zeckendorf_and_beta_share_the_walk_below_f20():
@@ -218,6 +215,22 @@ def test_reduce_basis_cases():
     assert reduce_by_fib(CoefficientVector(7, (0, 0, 0, 1, 1))).coeffs == (0, 0, 0, 0, 0)
 
 
+def test_reduce_by_fib_matches_golden():
+    # one line per vector with 3 <= a <= 7 and coefficients in 0..3: its
+    # reduction, or ValueError for the 132 whose value is below fib(a)
+    lines = (Path(__file__).parent / "golden" / "reduce_by_fib.txt").read_text().splitlines()
+    assert len(lines) == 1364
+    for line in lines:
+        a, coeffs, arrow, expected = line.split()
+        assert arrow == "->"
+        v = CoefficientVector(int(a), tuple(int(c) for c in coeffs.split(",")))
+        if expected == "ValueError":
+            with pytest.raises(ValueError):
+                reduce_by_fib(v)
+        else:
+            assert ",".join(map(str, reduce_by_fib(v).coeffs)) == expected, line
+
+
 coeff_vectors = st.integers(min_value=3, max_value=14).flatmap(
     lambda a: st.tuples(
         st.just(a),
@@ -246,13 +259,13 @@ def test_reduce_by_fib_laws(params):
 
 
 def test_reduce_from_zeckendorf_carry():
-    # represent x + fib(a) as zeckendorf(x) plus the carry f_{a-1} + f_{a-2};
+    # represent x + fib(a) as B(x) plus the carry f_{a-1} + f_{a-2};
     # one reduction must strip exactly fib(a) and never undershoot beta(x)
     for a in range(4, 10):
         fa = fib(a)
         for x in range(1, fa):
             coeffs = [0] * (a - 2)
-            for i in zeckendorf(x).indices:
+            for i in zeckendorf_indices(x):
                 coeffs[i - 2] += 1
             coeffs[a - 3] += 1
             coeffs[a - 4] += 1
