@@ -30,10 +30,8 @@ from .semigroup_core import (
     ZeroGenerator,
 )
 from .fib_family import (
-    EnumerationTooLarge,
     FamilySummary,
     TableTooLarge,
-    enumerate_sparse_subsets,
     family_apery,
     family_apery_value,
     family_frobenius,
@@ -74,11 +72,9 @@ __all__ = [
     "family_genus_sum",
     "family_genus_recurrence_check",
     "kaplansky_count",
-    "enumerate_sparse_subsets",
     "zeckendorf_bijection_check",
     "FamilySummary",
     "family_summary",
     "TableTooLarge",
-    "EnumerationTooLarge",
     "__version__",
 ]

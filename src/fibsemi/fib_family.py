@@ -17,9 +17,7 @@ from .semigroup_core import AperyTable, ResourceLimit
 
 __all__ = [
     "TableTooLarge",
-    "EnumerationTooLarge",
     "DEFAULT_TABLE_BOUND",
-    "MAX_SUBSET_INDEX",
     "MAX_BIJECTION_INDEX",
     "family_generators",
     "family_apery",
@@ -29,23 +27,17 @@ __all__ = [
     "family_genus_sum",
     "family_genus_recurrence_check",
     "kaplansky_count",
-    "enumerate_sparse_subsets",
     "zeckendorf_bijection_check",
     "FamilySummary",
     "family_summary",
 ]
 
 DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a for which a full Apery table is built
-MAX_SUBSET_INDEX = 40  # sparse-subset enumeration cutoff
 MAX_BIJECTION_INDEX = 25  # largest a the Zeckendorf bijection check walks
 
 
 class TableTooLarge(ResourceLimit):
     """A full Apery table was requested for an index with f_a above the bound."""
-
-
-class EnumerationTooLarge(ResourceLimit):
-    """Sparse-subset enumeration was requested beyond the supported range."""
 
 
 def family_generators(a: int) -> tuple[int, ...]:
@@ -155,30 +147,6 @@ def kaplansky_count(n: int, m: int) -> int:
     if 2 * m > n - 1:
         return 0
     return comb(n - 1 - m, m)
-
-
-def enumerate_sparse_subsets(n: int, m: int) -> list[tuple[int, ...]]:
-    """All m-subsets of {2..n-1} with no two consecutive members, in lex order."""
-    if n < 2:
-        raise ValueError("index bound must be at least 2")
-    if m < 0:
-        raise ValueError("subset size must be nonnegative")
-    if n > MAX_SUBSET_INDEX:
-        raise EnumerationTooLarge(
-            f"enumeration supports index bounds up to {MAX_SUBSET_INDEX}, got {n}"
-        )
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], lo: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        # after picking v, the rest needs v+2, v+4, ... to fit below n
-        for v in range(lo, n - 2 * (remaining - 1)):
-            extend(prefix + (v,), v + 2, remaining - 1)
-
-    extend((), 2, m)
-    return out
 
 
 def zeckendorf_bijection_check(a: int) -> bool:

@@ -8,6 +8,11 @@ fib(1) == fib(2) == 1 is always represented by index 2.
 
 B(x), beta(x) and gamma(x) have one function each; the reduction of x >= f_a
 to a lighter x - f_a is one recursive carry on a single coefficient list.
+
+beta reads an append-only byte memo grown by the Fibonacci split
+[0, f_{k+1}) = [0, f_k) ++ (f_k + [0, f_{k-1})), on whose second block beta is
+one higher.  The memo stops at f_30 (832,040 bytes, enough for every table the
+default bound allows); from there on beta is the length of the greedy walk.
 """
 from __future__ import annotations
 
@@ -25,6 +30,14 @@ __all__ = [
 
 # Append-only memo: _FIBS[n] == fib(n).
 _FIBS = [0, 1]
+
+# Append-only memo: _BETAS[x] == beta(x) for x < f_k, starting at k = 3; one
+# growth step to f_{k+1} appends _BETAS[:f_{k-1}] with every byte plus one.
+_BETAS = bytearray(b"\x00\x01")
+# The memo stops at f_30 = 832,040, the largest Fibonacci number within
+# fib_family.DEFAULT_TABLE_BOUND; beta < 15 below it, so a byte holds it.
+_BETA_MEMO_INDEX = 30
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
 
 
 def _grow_to_index(n: int) -> None:
@@ -61,20 +74,21 @@ def gamma(x: int) -> int:
 def beta(x: int) -> int:
     """Minimum of sum(b_i) over all representations x = sum(b_i * fib(i)), i >= 2.
 
-    Equals the Zeckendorf summand count: the number of steps of the greedy
-    walk in :func:`zeckendorf_indices`, counted here without building the
-    index tuple (this is the hot path when materializing family Apery
-    tables).
+    Equals the Zeckendorf summand count.  Below f_30 it is one index into
+    the memo, grown on demand by the Fibonacci split; from f_30 on it is
+    len(zeckendorf_indices(x)), and the memo does not grow.
     """
+    if 0 <= x < len(_BETAS):
+        return _BETAS[x]
     if x < 0:
         raise ValueError("beta is defined on nonnegative integers")
-    _grow_past_value(x)
-    count = 0
-    r = x
-    while r:
-        r -= _FIBS[bisect_right(_FIBS, r) - 1]
-        count += 1
-    return count
+    if x >= fib(_BETA_MEMO_INDEX):
+        return len(zeckendorf_indices(x))
+    k = gamma(len(_BETAS))  # the memo covers [0, f_k)
+    while len(_BETAS) <= x:
+        _BETAS.extend(_BETAS[:_FIBS[k - 1]].translate(_PLUS_ONE))
+        k += 1
+    return _BETAS[x]
 
 
 def zeckendorf_indices(x: int) -> tuple[int, ...]:

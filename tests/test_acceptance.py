@@ -15,7 +15,6 @@ from math import comb, gcd
 
 from fibsemi import cli, fib_family
 from fibsemi.fib_family import (
-    enumerate_sparse_subsets,
     family_apery,
     family_frobenius,
     family_generators,
@@ -29,6 +28,7 @@ from fibsemi.fib_family import (
 from fibsemi.fibonacci import beta, fib, gamma, zeckendorf_indices
 from fibsemi.semigroup_core import NumericalSemigroup
 from min_weight import min_weight_table
+from sparse_subsets import enumerate_sparse_subsets
 
 
 def _pass(num: int, t0: float, description: str) -> None:

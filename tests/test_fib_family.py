@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from fibsemi import fib_family
 from fibsemi.fib_family import (
-    EnumerationTooLarge,
     TableTooLarge,
-    enumerate_sparse_subsets,
     family_apery,
     family_apery_value,
     family_frobenius,
@@ -25,6 +23,7 @@ from fibsemi.fib_family import (
 )
 from fibsemi.fibonacci import beta, fib, zeckendorf_indices
 from fibsemi.semigroup_core import NumericalSemigroup
+from sparse_subsets import EnumerationTooLarge, enumerate_sparse_subsets
 
 
 # -- generators --------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Zeckendorf decompositions, the beta/gamma statistics, and the reduction step."""
 from __future__ import annotations
 
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibsemi import fibonacci
+from fibsemi.fib_family import DEFAULT_TABLE_BOUND
 from fibsemi.fibonacci import (
     CoefficientVector,
     beta,
@@ -160,6 +164,44 @@ def test_beta_known_values():
     assert beta(11) == 2  # 11 = fib(6) + fib(4)
     assert beta(12) == 3
     assert all(beta(fib(a)) == 1 for a in range(1, 40))
+
+
+# -- the beta memo: the Fibonacci split against the greedy walk ---------------
+
+def test_beta_memo_equals_the_walk_below_f26():
+    for x in range(fib(26)):
+        assert beta(x) == len(zeckendorf_indices(x))
+
+
+@given(st.integers(min_value=0, max_value=fib(30) - 1))
+def test_beta_memo_equals_the_walk_below_f30(x):
+    assert beta(x) == len(zeckendorf_indices(x))
+
+
+def test_beta_equals_the_walk_around_every_fib_across_the_cap():
+    for k in range(3, 32):
+        for x in (fib(k) - 1, fib(k), fib(k) + 1):
+            assert beta(x) == len(zeckendorf_indices(x)), x
+
+
+def test_beta_memo_covers_every_default_table():
+    cap = fibonacci._BETA_MEMO_INDEX
+    assert fib(cap) <= DEFAULT_TABLE_BOUND < fib(cap + 1)
+
+
+def test_beta_memo_grows_only_as_far_as_asked():
+    # a fresh interpreter, so earlier tests have not grown the memo already;
+    # x at or above the f_30 cap takes the walk and leaves the memo alone
+    script = (
+        "from fibsemi import fibonacci as z\n"
+        "z.beta(z.fib(20) - 1); print(len(z._BETAS))\n"
+        "z.beta(z.fib(30) + 1); print(len(z._BETAS))\n"
+        "z.beta(z.fib(30) - 1); print(len(z._BETAS))\n"
+        "z.beta(10**40); print(len(z._BETAS))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [str(n) for n in (fib(20), fib(20), fib(30), fib(30))]
 
 
 def test_min_weight_oracle_known_values():

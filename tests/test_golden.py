@@ -1,11 +1,14 @@
 """Byte-for-byte CLI output against snapshots committed under ``golden/``.
 
 Each snapshot was written by the CLI before the refactor it guards; any
-change to them is a change of output schema.  Verify's per-parameter and
+change to them is a change of output schema.  Outputs too long to commit are
+pinned by the sha256 of their stdout (``golden/*.sha256``, one
+``<digest>  <argv>`` line each).  Verify's per-parameter and
 total timings vary from run to run, so they are stripped before comparing.
 """
 from __future__ import annotations
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -37,6 +40,18 @@ def test_output_matches_snapshot(capsys, argv, snapshot):
     assert main(argv.split()) == EXIT_OK
     out = re.sub(r" \d+ms$", "", capsys.readouterr().out, flags=re.M)
     assert out == (GOLDEN / snapshot).read_text()
+
+
+def _digests() -> list[tuple[str, str]]:
+    lines = (GOLDEN / "apery_22.sha256").read_text().splitlines()
+    return [tuple(line.split("  ", 1)) for line in lines]
+
+
+@pytest.mark.parametrize("digest, argv", _digests())
+def test_output_matches_digest(capsys, digest, argv):
+    # apery 22 has 17,711 rows: its memo grows through 19 split steps
+    assert main(argv.split()) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt, snapshot", [
