@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import fib_family
 from .fib_family import DEFAULT_TABLE_BOUND, FamilySummary, TableTooLarge
-from .fibonacci import beta, fib
+from .fibonacci import beta, beta_bytes, fib
 from .semigroup_core import (
     DEFAULT_CELL_LIMIT, NumericalSemigroup, ResourceLimit, SemigroupError,
 )
@@ -243,14 +243,18 @@ class _VerifyOutcome:
     failures: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     ms: int = 0
+    blocks: bool | None = None  # Zeckendorf blocks 3..a all checked out
 
 
-def _verify_one(a: int, args: argparse.Namespace) -> _VerifyOutcome:
+def _verify_one(a: int, args: argparse.Namespace,
+                blocks_below: bool | None = None) -> _VerifyOutcome:
     """Run every check available for one parameter.
 
     The record is ``family_summary``'s, which reads the closed forms through
     the ``fib_family`` namespace, so a perturbed function is actually
     exercised.  A resource limit marks a check skipped, never failed.
+    ``blocks_below`` is the conjunction of the Zeckendorf blocks 3..a - 1 that
+    ``cmd_verify`` carries along; without it they are walked here.
     """
     t0 = time.perf_counter()
     s = fib_family.family_summary(a)
@@ -271,19 +275,22 @@ def _verify_one(a: int, args: argparse.Namespace) -> _VerifyOutcome:
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
     if a <= fib_family.MAX_BIJECTION_INDEX:
-        check("zeckendorf-bijection", fib_family.zeckendorf_bijection_check(a))
+        if blocks_below is None:
+            blocks_below = all(fib_family.zeckendorf_block_check(k) for k in range(3, a))
+        out.blocks = blocks_below and fib_family.zeckendorf_block_check(a)
+        check("zeckendorf-bijection",
+              fib_family.zeckendorf_bijection_check(a, blocks=out.blocks))
     else:
         out.skipped.append("zeckendorf-bijection")
 
     try:
-        family_table = fib_family.family_apery(a, table_bound=args.table_bound)
+        family_bits = fib_family.family_apery_bitset(a, table_bound=args.table_bound)
     except TableTooLarge:
-        family_table = None
+        family_bits = None
         out.skipped.append("apery-table")
     else:
-        check("apery-max-frobenius", max(family_table.w) - fa == f)
-        check("apery-beta-sum-genus",
-              sum((w - x) // fa for x, w in enumerate(family_table.w)) == g)
+        check("apery-max-frobenius", family_bits.bit_length() - 1 - fa == f)
+        check("apery-beta-sum-genus", sum(beta_bytes(a)) == g)
 
     try:
         oracle = NumericalSemigroup(gens, cell_limit=args.oracle_bound)
@@ -293,8 +300,8 @@ def _verify_one(a: int, args: argparse.Namespace) -> _VerifyOutcome:
         check("oracle-genus", oracle.genus() == g)
         check("oracle-n-count", oracle_n == n)
         check("oracle-minimal-generators", oracle.minimal_generators() == gens)
-        if family_table is not None:
-            check("oracle-apery-table", oracle.apery(fa) == family_table)
+        if family_bits is not None:
+            check("oracle-apery-table", oracle.apery_bitset(fa) == family_bits)
     except ResourceLimit as exc:
         out.skipped.append(f"oracle ({exc})")
     except SemigroupError:  # the oracle refuses the closed-form generators
@@ -305,7 +312,11 @@ def _verify_one(a: int, args: argparse.Namespace) -> _VerifyOutcome:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    outcomes = [_verify_one(a, args) for a in range(3, args.a_max + 1)]
+    outcomes: list[_VerifyOutcome] = []
+    blocks = True  # each Zeckendorf block is walked once over the sweep
+    for a in range(3, args.a_max + 1):
+        outcomes.append(_verify_one(a, args, blocks))
+        blocks = outcomes[-1].blocks
 
     failed = [o for o in outcomes if o.failures]
     detail = sys.stdout if args.format == "text" else sys.stderr

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .fibonacci import beta, fib, gamma, zeckendorf_indices
+from .fibonacci import beta, beta_bytes, fib, gamma, zeckendorf_indices
 from .semigroup_core import AperyTable, ResourceLimit
 
 __all__ = [
@@ -21,12 +21,14 @@ __all__ = [
     "MAX_BIJECTION_INDEX",
     "family_generators",
     "family_apery",
+    "family_apery_bitset",
     "family_apery_value",
     "family_frobenius",
     "family_genus",
     "family_genus_sum",
     "family_genus_recurrence_check",
     "kaplansky_count",
+    "zeckendorf_block_check",
     "zeckendorf_bijection_check",
     "FamilySummary",
     "family_summary",
@@ -75,16 +77,41 @@ def family_apery(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> AperyTabl
         raise ValueError("index must be nonnegative")
     if a <= 2:
         return AperyTable(1, (0,))
-    # f_a <= bound exactly when a <= gamma(bound), so an index over the bound
-    # is refused before f_a, which has about a / 5 digits, is ever computed
+    _refuse_oversized_table(a, table_bound)
+    fa = fib(a)
+    return AperyTable(fa, tuple(beta(x) * fa + x for x in range(fa)))
+
+
+def family_apery_bitset(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> int:
+    """:func:`family_apery` as one int, with bit beta(x) * f_a + x set for each x.
+
+    One beta layer at a time from :func:`beta_bytes`: the x with beta(x) = k,
+    as a binary numeral with x = 0 last, parse in linear time (base 2 is
+    exempt from the int-string digit limit) and land k * f_a higher.
+    """
+    if a < 0:
+        raise ValueError("index must be nonnegative")
+    if a <= 2:
+        return 1
+    _refuse_oversized_table(a, table_bound)
+    fa = fib(a)
+    digits = beta_bytes(a)[::-1]
+    bits = 0
+    for k in range(max(digits), -1, -1):
+        layer = digits.translate(b"0" * k + b"1" + b"0" * (255 - k))
+        bits = bits << fa | int(layer, 2)
+    return bits
+
+
+def _refuse_oversized_table(a: int, table_bound: int) -> None:
+    """Raise TableTooLarge when f_a exceeds ``table_bound``: a > gamma(bound)
+    is refused before f_a, which has about a / 5 digits, is ever computed."""
     top = gamma(max(table_bound, 0))
     if a > top:
         need = f"= {fib(a)}" if a == top + 1 else f">= f_{top + 1} = {fib(top + 1)}"
         raise TableTooLarge(
             f"Apery table needs f_{a} {need} entries, above the bound {table_bound}"
         )
-    fa = fib(a)
-    return AperyTable(fa, tuple(beta(x) * fa + x for x in range(fa)))
 
 
 def family_frobenius(a: int) -> int:
@@ -149,47 +176,53 @@ def kaplansky_count(n: int, m: int) -> int:
     return comb(n - 1 - m, m)
 
 
-def zeckendorf_bijection_check(a: int) -> bool:
-    """Zeckendorf index sets of 1..f_a - 1 hit each sparse subset exactly once.
+def zeckendorf_block_check(k: int) -> bool:
+    """The x in [f_{k-1}, f_k) map one to one onto the sparse subsets of
+    {2..k - 1} with top member k - 1.
 
-    One pass over x, walking B(x) with :func:`zeckendorf_indices` (the greedy
-    walk, independent of :func:`family_apery` and of any recursion) and
-    keeping only a count per set size, so memory does not grow with f_a.
-    Each B(x) must lie in {2..a - 1}, with no two consecutive members, and
-    its Fibonacci values must sum back to x.
-
-    Injectivity: summing the indices recovers x, so the map x -> B(x) has a
-    left inverse and distinct x give distinct sets; no set of seen keys is
-    needed.  Surjectivity: the map is an injection from 1..f_a - 1 into the
-    nonempty sparse subsets of {2..a - 1}; when its image has exactly
-    kaplansky_count(a, m) sets of each size m >= 1 (and none of size 0), it
-    fills every size class, so it is onto.  Also checks the classical
-    consequence f_a = sum over j of C(a - 1 - j, j), which with the counts
-    gives f_a - 1 sets in all.
+    One pass of the greedy :func:`zeckendorf_indices` over the block, keeping
+    a count per set size.  Each B(x) must be sparse, start at 2 or above, top
+    out at exactly k - 1 and sum back to x, so distinct x give distinct sets.
+    Such a set of size m is k - 1 plus a sparse (m - 1)-subset of {2..k - 3},
+    and there are C(k - 2 - m, m - 1) of those: matching counts make it onto.
     """
-    if not 3 <= a <= MAX_BIJECTION_INDEX:
+    if not 3 <= k <= MAX_BIJECTION_INDEX:
         raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
-    fa = fib(a)
-    top = (a - 1) // 2
-    if fa != sum(comb(a - 1 - j, j) for j in range(top + 1)):
-        return False
-    fibs = [fib(i) for i in range(a)]
-    # a sparse subset of {2..a - 1} has at most top members
+    fibs = [fib(i) for i in range(k)]
+    top = (k - 1) // 2  # a sparse subset of {2..k - 1} has at most top members
     per_size = [0] * (top + 1)
-    for x in range(1, fa):
+    for x in range(fibs[k - 1], fib(k)):
         key = zeckendorf_indices(x)
         total = 0
         prev = 0  # so the first index must be >= 2
         for i in key:
             # the bound is tested before fibs[i] is read: a bad key is False
-            if not prev + 2 <= i < a:
+            if not prev + 2 <= i < k:
                 return False
             total += fibs[i]
             prev = i
-        if total != x:
+        if total != x or prev != k - 1:
             return False
         per_size[len(key)] += 1
-    return per_size == [0] + [kaplansky_count(a, m) for m in range(1, top + 1)]
+    return per_size == [0] + [comb(k - 2 - m, m - 1) for m in range(1, top + 1)]
+
+
+def zeckendorf_bijection_check(a: int, *, blocks: bool | None = None) -> bool:
+    """Zeckendorf index sets of 1..f_a - 1 hit each sparse subset of {2..a - 1} once.
+
+    The blocks [f_{k-1}, f_k) for k = 3..a split 1..f_a - 1 (f_2 = 1) as the
+    top member k - 1 splits the subsets, and :func:`zeckendorf_block_check`
+    makes each block a bijection onto its class.  Also checks f_a = sum over
+    j of C(a - 1 - j, j).  ``blocks`` is the conjunction of the block checks
+    3..a when the caller has it: ``verify`` walks each block once per sweep.
+    """
+    if not 3 <= a <= MAX_BIJECTION_INDEX:
+        raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
+    if fib(a) != sum(comb(a - 1 - j, j) for j in range((a - 1) // 2 + 1)):
+        return False
+    if blocks is None:
+        blocks = all(zeckendorf_block_check(k) for k in range(3, a + 1))
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ beta reads an append-only byte memo grown by the Fibonacci split
 [0, f_{k+1}) = [0, f_k) ++ (f_k + [0, f_{k-1})), on whose second block beta is
 one higher.  The memo stops at f_30 (832,040 bytes, enough for every table the
 default bound allows); from there on beta is the length of the greedy walk.
+beta_bytes(a) is beta on all of [0, f_a): the memo, or past it the same split.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ __all__ = [
     "fib",
     "gamma",
     "beta",
+    "beta_bytes",
     "zeckendorf_indices",
     "CoefficientVector",
     "reduce_by_fib",
@@ -84,11 +86,32 @@ def beta(x: int) -> int:
         raise ValueError("beta is defined on nonnegative integers")
     if x >= fib(_BETA_MEMO_INDEX):
         return len(zeckendorf_indices(x))
-    k = gamma(len(_BETAS))  # the memo covers [0, f_k)
-    while len(_BETAS) <= x:
-        _BETAS.extend(_BETAS[:_FIBS[k - 1]].translate(_PLUS_ONE))
-        k += 1
+    _split_until(_BETAS, x + 1)
     return _BETAS[x]
+
+
+def beta_bytes(a: int) -> bytes:
+    """beta(x) for every x < f_a, as f_a bytes: byte x is beta(x).
+
+    Up to f_30 a copy of the memo; past it the split goes on in a local
+    buffer and the memo does not grow.  Callers bound f_a themselves.
+    """
+    n, cap = fib(a), fib(_BETA_MEMO_INDEX)
+    _split_until(_BETAS, min(n, cap))
+    if n <= cap:
+        return bytes(_BETAS[:n])
+    betas = bytearray(_BETAS)  # exactly [0, f_30)
+    _split_until(betas, n)
+    return bytes(betas)
+
+
+def _split_until(betas: bytearray, n: int) -> None:
+    """Grow ``betas``, which holds beta on [0, f_k) for some k >= 3, one split
+    step at a time until it covers [0, n)."""
+    k = gamma(len(betas))
+    while len(betas) < n:
+        betas += betas[:_FIBS[k - 1]].translate(_PLUS_ONE)
+        k += 1
 
 
 def zeckendorf_indices(x: int) -> tuple[int, ...]:

@@ -1,11 +1,12 @@
 """Generic numerical-semigroup oracle, computed from first principles.
 
-No family shortcuts live here.  Membership is a reachability bitset over the
-generators, and the Apery set of a pivot n is read off that same bitset as
+No family shortcuts live here.  Membership is a reachability bitset R over
+the generators, and the Apery set of a pivot n is the bitset R & ~(R << n),
 {s in S : s - n not in S}.  Every other invariant (Frobenius number, genus,
-minimal generators, gap list, Wilf check) derives from that one table.  The
-test suite plays it against a second, independent route: Nijenhuis's
-shortest paths on the residue graph.
+minimal generators, gap list, Wilf check) derives from R; F and the genus are
+read off the Apery bitset at the multiplicity, with no per-residue table.  The
+test suite plays it against an independent route: Nijenhuis's shortest paths
+on the residue graph.
 """
 from __future__ import annotations
 
@@ -113,7 +114,7 @@ class NumericalSemigroup:
     """
 
     __slots__ = ("generators", "multiplicity", "cell_limit",
-                 "_reach", "_apery_tables", "_msg")
+                 "_reach", "_apery_bits", "_msg")
 
     def __init__(self, generators: Iterable[int], *, cell_limit: int = DEFAULT_CELL_LIMIT):
         gens = sorted(set(generators))
@@ -130,7 +131,7 @@ class NumericalSemigroup:
         self.multiplicity: int = gens[0]
         self.cell_limit = cell_limit
         self._reach: tuple[int, bytes] | None = None
-        self._apery_tables: dict[int, AperyTable] = {}
+        self._apery_bits: dict[int, int] = {}
         self._msg: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
@@ -177,17 +178,17 @@ class NumericalSemigroup:
 
     # -- Apery sets and the invariants built on them -----------------------
 
-    def apery(self, n: int) -> AperyTable:
-        """Apery set of ``n``, read off the membership bitset R.
+    def apery_bitset(self, n: int) -> int:
+        """Apery set of ``n`` as one int: bit s is set iff s is in Ap(S, n).
 
         Ap(S, n) = {s in S : s - n not in S}, so its bits are R & ~(R << n)
         on [0, F + n], with every cell above F set: one per residue, the
         largest being F + n.  That needs F + n + 1 cells of ``cell_limit``;
         a pivot that needs more is refused before anything is allocated.
         """
-        cached = self._apery_tables.get(n)
-        if cached is not None:
-            return cached
+        bits = self._apery_bits.get(n)
+        if bits is not None:
+            return bits
         if n <= 0:
             raise PivotZero("Apery pivot must be a positive integer")
         if not self.contains(n):
@@ -201,35 +202,34 @@ class NumericalSemigroup:
             )
         reach = (int.from_bytes(table, "little") & ((1 << (f + 1)) - 1)
                  | ((1 << n) - 1) << (f + 1))
-        firsts = (reach & ~(reach << n)).to_bytes((cells + 7) // 8, "little")
+        bits = self._apery_bits[n] = reach & ~(reach << n)
+        return bits
+
+    def apery(self, n: int) -> AperyTable:
+        """Apery set of ``n`` as a table, decoded from :meth:`apery_bitset`."""
+        bits = self.apery_bitset(n)
         w = [0] * n
-        for i, byte in enumerate(firsts):
+        for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) // 8, "little")):
             if byte:
                 for b in _SET_BITS[byte]:
                     s = (i << 3) + b
                     w[s % n] = s
-        apery_table = AperyTable(n, tuple(w))
-        self._apery_tables[n] = apery_table
-        return apery_table
+        return AperyTable(n, tuple(w))
 
     def frobenius(self) -> int:
         """max Ap(S, m) - m; equals -1 exactly when the semigroup is all of N."""
-        table = self.apery(self.multiplicity)
-        return max(table.w) - table.n
+        return self.apery_bitset(self.multiplicity).bit_length() - 1 - self.multiplicity
 
     def genus(self) -> int:
-        """Number of gaps, from the Apery sum at the multiplicity.
+        """Number of gaps: the sum of the k_i in w(i) = k_i * m + i over Ap(S, m).
 
-        Asserts that the two textbook routes agree: (sum w)/n - (n-1)/2 and
-        the sum of the k_i in w(i) = k_i*n + i.
+        Window k of the Apery bitset, bits [k * m, (k + 1) * m), holds the w(i)
+        with k_i = k, so this is the sum of k times the window's popcount.
         """
-        table = self.apery(self.multiplicity)
-        n = table.n
-        twice = 2 * sum(table.w) - n * (n - 1)
-        assert twice % (2 * n) == 0, "Apery-sum genus must be an exact integer"
-        g = twice // (2 * n)
-        assert g == sum((wi - i) // n for i, wi in enumerate(table.w))
-        return g
+        m = self.multiplicity
+        bits = self.apery_bitset(m)
+        assert bits.bit_count() == m, "Ap(S, m) must have one element per residue"
+        return _window_sum(bits, m)
 
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique minimal system: nonzero elements that are not sums of two.
@@ -280,3 +280,15 @@ class NumericalSemigroup:
             n_count=n,
             wilf_holds=self.wilf_check().holds,
         )
+
+
+def _window_sum(bits: int, m: int) -> int:
+    """Sum over k of k * popcount(bits[k * m, (k + 1) * m)), halving at a window
+    boundary: O(size * log(windows)) work, however narrow the windows."""
+    windows = -(-bits.bit_length() // m)
+    if windows <= 1:
+        return 0
+    cut = windows // 2 * m
+    high = bits >> cut  # its windows sit windows // 2 higher in bits
+    return (_window_sum(bits & ((1 << cut) - 1), m) + _window_sum(high, m)
+            + windows // 2 * high.bit_count())

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from fibsemi import cli, fib_family
 from fibsemi.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from fibsemi.fibonacci import fib
 from fibsemi.semigroup_core import NumericalSemigroup
 
 
@@ -300,7 +301,8 @@ def test_verify_reports_the_skipped_bijection_check(capsys, monkeypatch):
     rows = {int(r["a"]): r["skipped"].split("; ") for r in csv.DictReader(io.StringIO(out))}
     assert rows[26] == ["zeckendorf-bijection", "apery-table", _budget_skip(121393, 1)]
     assert not any("zeckendorf-bijection" in rows[a] for a in range(3, 26))
-    monkeypatch.setattr(fib_family, "zeckendorf_bijection_check", lambda a: True)
+    # verify walks the bijection block by block; even all blocks passing skips a = 26
+    monkeypatch.setattr(fib_family, "zeckendorf_block_check", lambda k: True)
     code, out, _ = run(capsys, "verify", "26", "--oracle-bound", "1",
                        "--table-bound", "1", "--format", "json")
     assert code == EXIT_OK
@@ -309,6 +311,71 @@ def test_verify_reports_the_skipped_bijection_check(capsys, monkeypatch):
                        "--table-bound", "1")
     assert code == EXIT_OK
     assert "skipped[zeckendorf-bijection, " in out.splitlines()[-2]
+
+
+def test_verify_walks_each_residue_once(capsys, monkeypatch):
+    calls = 0
+    real = fib_family.zeckendorf_indices
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return real(x)
+
+    monkeypatch.setattr(fib_family, "zeckendorf_indices", counting)
+    code, _, _ = run(capsys, "verify", "24")
+    assert code == EXIT_OK
+    assert calls == fib(24) - 1 == 46_367  # blocks 3..24 cover 1..f_24 - 1
+
+
+def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatch):
+    real = fib_family.zeckendorf_indices
+    # x = 12 lies in block 7, [f_6, f_7) = [8, 13); 2 + 4 + 7 is sparse but sums to 17
+    monkeypatch.setattr(fib_family, "zeckendorf_indices",
+                        lambda x: (2, 4, 7) if x == 12 else real(x))
+    code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1")
+    assert code == EXIT_MISMATCH
+    failed = {int(line.split()[0][2:]) for line in out.splitlines() if " FAIL" in line}
+    assert failed == set(range(7, 13))
+    assert out.count("  mismatch:") == out.count("  mismatch: zeckendorf-bijection\n") == 6
+    # on its own, one parameter still walks every block up to its own: the
+    # bad key is put in the first block, then in the last one
+    args = cli.build_parser().parse_args(["verify", "10", "--oracle-bound", "1"])
+    assert cli._verify_one(10, args).failures == ["zeckendorf-bijection"]
+    assert cli._verify_one(6, args).failures == []
+    monkeypatch.setattr(fib_family, "zeckendorf_indices", lambda x: () if x == 1 else real(x))
+    assert cli._verify_one(10, args).failures == ["zeckendorf-bijection"]
+    monkeypatch.setattr(fib_family, "zeckendorf_indices", lambda x: () if x == 54 else real(x))
+    assert cli._verify_one(10, args).failures == ["zeckendorf-bijection"]
+    assert cli._verify_one(9, args).failures == []
+
+
+def _mismatches(out: str) -> list[str]:
+    return [line.strip() for line in out.splitlines() if line.startswith("  mismatch:")]
+
+
+def test_verify_catches_one_flipped_bit_in_the_family_bitset(capsys, monkeypatch):
+    real = fib_family.family_apery_bitset
+    # bit 1 is clear in every family bitset (w(1) = f_a + 1), and not its top bit
+    monkeypatch.setattr(fib_family, "family_apery_bitset",
+                        lambda a, **kw: real(a, **kw) ^ 1 << 1)
+    code, out, _ = run(capsys, "verify", "10")
+    assert code == EXIT_MISMATCH
+    assert _mismatches(out) == ["mismatch: oracle-apery-table"] * 8
+
+
+def test_verify_catches_one_perturbed_beta_byte(capsys, monkeypatch):
+    real = cli.beta_bytes
+
+    def perturbed(a):
+        betas = bytearray(real(a))
+        betas[-1] += 1
+        return bytes(betas)
+
+    monkeypatch.setattr(cli, "beta_bytes", perturbed)
+    code, out, _ = run(capsys, "verify", "10")
+    assert code == EXIT_MISMATCH
+    assert _mismatches(out) == ["mismatch: apery-beta-sum-genus"] * 8
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):

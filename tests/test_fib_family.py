@@ -1,6 +1,7 @@
 """Closed forms for the Fibonacci-shift family against the brute-force oracle."""
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 
 from fibsemi import fib_family
 from fibsemi.fib_family import (
+    DEFAULT_TABLE_BOUND,
     TableTooLarge,
     family_apery,
+    family_apery_bitset,
     family_apery_value,
     family_frobenius,
     family_generators,
@@ -20,8 +23,9 @@ from fibsemi.fib_family import (
     family_summary,
     kaplansky_count,
     zeckendorf_bijection_check,
+    zeckendorf_block_check,
 )
-from fibsemi.fibonacci import beta, fib, zeckendorf_indices
+from fibsemi.fibonacci import beta, fib, gamma, zeckendorf_indices
 from fibsemi.semigroup_core import NumericalSemigroup
 from sparse_subsets import EnumerationTooLarge, enumerate_sparse_subsets
 
@@ -110,6 +114,47 @@ def test_apery_table_bound_refuses_before_computing_f_a():
     assert peak < 1_000_000, peak
     with pytest.raises(TableTooLarge, match=r"f_31 = 1346269 entries"):
         family_apery(31)
+
+
+def test_apery_bitset_is_the_table_as_bits():
+    for a in range(23):
+        assert family_apery_bitset(a) == sum(1 << w for w in family_apery(a).w), a
+
+
+def test_apery_bitset_needs_no_int_string_digit_limit():
+    # layers of f_24 = 46,368 binary digits, far past the default 4300
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        bits = family_apery_bitset(24)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert bits.bit_count() == fib(24)
+    assert bits.bit_length() - 1 == family_frobenius(24) + fib(24)
+
+
+@pytest.mark.parametrize("a, bound", [(31, DEFAULT_TABLE_BOUND), (10, 50),
+                                      (100_000, DEFAULT_TABLE_BOUND)])
+def test_apery_bitset_is_refused_as_the_table_is(a, bound):
+    with pytest.raises(TableTooLarge) as table:
+        family_apery(a, table_bound=bound)
+    with pytest.raises(TableTooLarge) as bits:
+        family_apery_bitset(a, table_bound=bound)
+    assert str(bits.value) == str(table.value)
+
+
+def test_apery_bitset_refuses_before_computing_f_a():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableTooLarge, match=r"f_100000 >= f_31 = 1346269 .* 1000000$"):
+            family_apery_bitset(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert family_apery_bitset(10, table_bound=55).bit_count() == 55
 
 
 def test_apery_matches_oracle():
@@ -236,7 +281,7 @@ def test_bijection_check_examples():
         zeckendorf_bijection_check(26)
 
 
-@pytest.mark.parametrize("x, bad_key", [
+BAD_KEYS = [
     (12, (2, 4, 7)),  # sparse and in range, but sums to 17
     (12, (1, 4, 6)),  # sums to 12 through index 1
     (12, (2, 10)),  # index a: refused before fib(10) is looked up
@@ -244,7 +289,10 @@ def test_bijection_check_examples():
     (12, (6, 2, 4)),  # sums to 12, not increasing
     (12, ()),
     (12, zeckendorf_indices(11)),  # a second x's correct key
-])
+]
+
+
+@pytest.mark.parametrize("x, bad_key", BAD_KEYS)
 def test_bijection_check_rejects_a_bad_key(monkeypatch, x, bad_key):
     a = 10
     assert zeckendorf_bijection_check(a)
@@ -254,6 +302,44 @@ def test_bijection_check_rejects_a_bad_key(monkeypatch, x, bad_key):
 
     monkeypatch.setattr(fib_family, "zeckendorf_indices", walk)
     assert zeckendorf_bijection_check(a) is False
+
+
+@pytest.mark.parametrize("x, bad_key", BAD_KEYS)
+def test_block_check_rejects_a_bad_key_in_its_block_only(monkeypatch, x, bad_key):
+    k = gamma(x) + 1  # f_{k-1} <= x < f_k
+
+    def walk(y):
+        return bad_key if y == x else zeckendorf_indices(y)
+
+    monkeypatch.setattr(fib_family, "zeckendorf_indices", walk)
+    assert zeckendorf_block_check(k) is False
+    assert all(zeckendorf_block_check(j) for j in range(3, 11) if j != k)
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_bijection_check_fails_from_the_block_of_a_bad_key_on(monkeypatch, k):
+    x = fib(k) - 1  # the last residue of block k
+
+    def walk(y):
+        return () if y == x else zeckendorf_indices(y)
+
+    monkeypatch.setattr(fib_family, "zeckendorf_indices", walk)
+    assert [zeckendorf_bijection_check(a) for a in range(3, 11)] == [a < k for a in range(3, 11)]
+
+
+def test_bijection_check_holds_for_every_walked_index():
+    assert all(zeckendorf_bijection_check(a) for a in range(3, 26))
+    assert all(zeckendorf_block_check(k) for k in range(3, 26))
+    for bad in (2, 26):
+        with pytest.raises(ValueError):
+            zeckendorf_block_check(bad)
+
+
+def test_block_check_class_sizes_for_k7():
+    # 8..12: {6}, then {6} with one of {2}, {3}, {4}, then {2, 4, 6}
+    assert [len(zeckendorf_indices(x)) for x in range(fib(6), fib(7))] == [1, 2, 2, 2, 3]
+    assert all(zeckendorf_indices(x)[-1] == 6 for x in range(fib(6), fib(7)))
+    assert zeckendorf_block_check(7)
 
 
 def test_bijection_check_memory_does_not_grow_with_fa():

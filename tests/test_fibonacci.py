@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from fibsemi.fib_family import DEFAULT_TABLE_BOUND
 from fibsemi.fibonacci import (
     CoefficientVector,
     beta,
+    beta_bytes,
     fib,
     gamma,
     reduce_by_fib,
@@ -187,6 +189,48 @@ def test_beta_equals_the_walk_around_every_fib_across_the_cap():
 def test_beta_memo_covers_every_default_table():
     cap = fibonacci._BETA_MEMO_INDEX
     assert fib(cap) <= DEFAULT_TABLE_BOUND < fib(cap + 1)
+
+
+def test_beta_bytes_equal_the_walk_below_f26():
+    betas = beta_bytes(26)
+    assert len(betas) == fib(26)
+    for x in range(fib(26)):
+        assert betas[x] == len(zeckendorf_indices(x))
+
+
+@cache
+def _beta_bytes_past_the_cap() -> bytes:
+    return beta_bytes(32)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=fib(32) - 1), min_size=1, max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_beta_bytes_equal_the_walk_across_the_cap(xs):
+    betas = _beta_bytes_past_the_cap()
+    for x in xs + [fib(30) - 1, fib(30), fib(31), fib(32) - 1]:
+        assert betas[x] == len(zeckendorf_indices(x)), x
+
+
+def test_beta_bytes_shapes_and_the_memo_cap():
+    assert [beta_bytes(a) for a in range(4)] == [b"", b"\x00", b"\x00", b"\x00\x01"]
+    betas = _beta_bytes_past_the_cap()
+    assert len(betas) == fib(32)
+    assert betas[:fib(30)] == beta_bytes(30)
+    assert len(fibonacci._BETAS) <= fib(30)
+    with pytest.raises(ValueError):
+        beta_bytes(-1)
+
+
+def test_beta_bytes_past_the_cap_leave_the_memo_alone():
+    # a fresh interpreter, so earlier tests have not grown the memo already
+    script = (
+        "from fibsemi import fibonacci as z\n"
+        "z.beta_bytes(20); print(len(z._BETAS))\n"
+        "z.beta_bytes(32); print(len(z._BETAS))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [str(fib(20)), str(fib(30))]
 
 
 def test_beta_memo_grows_only_as_far_as_asked():

@@ -16,6 +16,7 @@ import pytest
 
 from fibsemi import fib_family
 from fibsemi.cli import EXIT_OK, main
+from fibsemi.semigroup_core import NumericalSemigroup
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +35,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("verify 20", "verify_20.txt"),
     ("verify 20 --format json", "verify_20.json"),
     ("verify 20 --format csv", "verify_20.csv"),
+    ("verify 25 --format csv", "verify_25.csv"),
     ("verify 26 --oracle-bound 1 --table-bound 1 --format csv", "verify_26_bounded.csv"),
 ])
 def test_output_matches_snapshot(capsys, argv, snapshot):
@@ -52,6 +54,17 @@ def test_output_matches_digest(capsys, digest, argv):
     # apery 22 has 17,711 rows: its memo grows through 19 split steps
     assert main(argv.split()) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_verify_builds_no_apery_table(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a per-residue Apery table")
+
+    monkeypatch.setattr(fib_family, "family_apery", refuse)
+    monkeypatch.setattr(NumericalSemigroup, "apery", refuse)
+    assert main(["verify", "20"]) == EXIT_OK
+    out = re.sub(r" \d+ms$", "", capsys.readouterr().out, flags=re.M)
+    assert out == (GOLDEN / "verify_20.txt").read_text()
 
 
 @pytest.mark.parametrize("fmt, snapshot", [

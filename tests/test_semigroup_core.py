@@ -107,6 +107,25 @@ def test_apery_table_budget():
         NumericalSemigroup([3, 5]).apery(10**20)
 
 
+def test_apery_and_its_bitset_refuse_a_pivot_alike():
+    sg = NumericalSemigroup([3, 5], cell_limit=15)
+    with pytest.raises(ResourceLimit) as table:
+        sg.apery(8)
+    with pytest.raises(ResourceLimit) as bits:
+        sg.apery_bitset(8)
+    assert str(table.value) == str(bits.value) == (
+        "Apery table of pivot 8 needs 16 cells (F + n + 1), over the 15-cell budget")
+    assert sg.apery_bitset(3) == 1 | 1 << 5 | 1 << 10  # Ap(<3,5>, 3) = {0, 5, 10}
+
+
+def test_genus_with_narrow_windows_is_fast():
+    # m = 2 and F near 2 * 10^6: a million windows of two cells each
+    sg = NumericalSemigroup([2, 2 * 10**6 + 1])
+    t0 = time.perf_counter()
+    assert (sg.frobenius(), sg.genus()) == (2 * 10**6 - 1, 10**6)
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_apery_out_of_budget_semigroup_refused_quickly():
     # F is about 10^12: the membership table gives up at the 10^7-cell budget
     sg = NumericalSemigroup([1000003, 1000033])
@@ -267,13 +286,18 @@ def test_apery_bitset_equals_dijkstra(gens):
     m, top = sg.multiplicity, sg.generators[-1]
     # the multiplicity, the largest generator, and an element that is no generator
     for n in (m, top, m + top):
-        assert sg.apery(n) == AperyTable(n, dijkstra_apery(sg.generators, n))
+        w = dijkstra_apery(sg.generators, n)
+        assert sg.apery(n) == AperyTable(n, w)
+        assert sg.apery_bitset(n) == sum(1 << wi for wi in w)
     # g + n(S) = F + 1, with F and g from the Dijkstra table, n(S) from the bitset
     w = dijkstra_apery(sg.generators, m)
     f = max(w) - m
     twice_g = 2 * sum(w) - m * (m - 1)
     assert twice_g % (2 * m) == 0
     assert twice_g // (2 * m) + sg.n_count() == f + 1
+    # F and g read off the bitset's top bit and windows, against the same table
+    assert sg.frobenius() == f
+    assert sg.genus() == sum((wi - i) // m for i, wi in enumerate(w))
 
 
 @given(coprime_generators())
