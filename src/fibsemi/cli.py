@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import fib_family
 from .fib_family import DEFAULT_TABLE_BOUND, FamilySummary, TableTooLarge
-from .fibonacci import beta, beta_bytes, fib
+from .fibonacci import beta, fib
 from .semigroup_core import (
     DEFAULT_CELL_LIMIT, NumericalSemigroup, ResourceLimit, SemigroupError,
 )
@@ -246,15 +246,14 @@ class _VerifyOutcome:
     blocks: bool | None = None  # Zeckendorf blocks 3..a all checked out
 
 
-def _verify_one(a: int, args: argparse.Namespace,
-                blocks_below: bool | None = None) -> _VerifyOutcome:
+def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool) -> _VerifyOutcome:
     """Run every check available for one parameter.
 
     The record is ``family_summary``'s, which reads the closed forms through
     the ``fib_family`` namespace, so a perturbed function is actually
     exercised.  A resource limit marks a check skipped, never failed.
     ``blocks_below`` is the conjunction of the Zeckendorf blocks 3..a - 1 that
-    ``cmd_verify`` carries along; without it they are walked here.
+    ``cmd_verify`` carries along, so only block a is walked here.
     """
     t0 = time.perf_counter()
     s = fib_family.family_summary(a)
@@ -275,11 +274,8 @@ def _verify_one(a: int, args: argparse.Namespace,
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
     if a <= fib_family.MAX_BIJECTION_INDEX:
-        if blocks_below is None:
-            blocks_below = all(fib_family.zeckendorf_block_check(k) for k in range(3, a))
         out.blocks = blocks_below and fib_family.zeckendorf_block_check(a)
-        check("zeckendorf-bijection",
-              fib_family.zeckendorf_bijection_check(a, blocks=out.blocks))
+        check("zeckendorf-bijection", out.blocks)
     else:
         out.skipped.append("zeckendorf-bijection")
 
@@ -290,7 +286,12 @@ def _verify_one(a: int, args: argparse.Namespace,
         out.skipped.append("apery-table")
     else:
         check("apery-max-frobenius", family_bits.bit_length() - 1 - fa == f)
-        check("apery-beta-sum-genus", sum(beta_bytes(a)) == g)
+        # window k of the bitset holds the residues with beta = k
+        mask = (1 << fa) - 1
+        layers = -(-family_bits.bit_length() // fa)
+        check("apery-beta-sum-genus",
+              sum(k * ((family_bits >> k * fa) & mask).bit_count()
+                  for k in range(1, layers)) == g)
 
     try:
         oracle = NumericalSemigroup(gens, cell_limit=args.oracle_bound)

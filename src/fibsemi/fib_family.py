@@ -185,9 +185,13 @@ def zeckendorf_block_check(k: int) -> bool:
     out at exactly k - 1 and sum back to x, so distinct x give distinct sets.
     Such a set of size m is k - 1 plus a sparse (m - 1)-subset of {2..k - 3},
     and there are C(k - 2 - m, m - 1) of those: matching counts make it onto.
+    Also checks f_k = sum over j of C(k - 1 - j, j), the count of all sparse
+    subsets of {2..k - 1}, in O(k).
     """
     if not 3 <= k <= MAX_BIJECTION_INDEX:
         raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
+    if fib(k) != sum(comb(k - 1 - j, j) for j in range((k - 1) // 2 + 1)):
+        return False
     fibs = [fib(i) for i in range(k)]
     top = (k - 1) // 2  # a sparse subset of {2..k - 1} has at most top members
     per_size = [0] * (top + 1)
@@ -207,22 +211,17 @@ def zeckendorf_block_check(k: int) -> bool:
     return per_size == [0] + [comb(k - 2 - m, m - 1) for m in range(1, top + 1)]
 
 
-def zeckendorf_bijection_check(a: int, *, blocks: bool | None = None) -> bool:
+def zeckendorf_bijection_check(a: int) -> bool:
     """Zeckendorf index sets of 1..f_a - 1 hit each sparse subset of {2..a - 1} once.
 
     The blocks [f_{k-1}, f_k) for k = 3..a split 1..f_a - 1 (f_2 = 1) as the
     top member k - 1 splits the subsets, and :func:`zeckendorf_block_check`
-    makes each block a bijection onto its class.  Also checks f_a = sum over
-    j of C(a - 1 - j, j).  ``blocks`` is the conjunction of the block checks
-    3..a when the caller has it: ``verify`` walks each block once per sweep.
+    makes each block a bijection onto its class.  ``verify`` walks the blocks
+    itself, each once over its sweep.
     """
     if not 3 <= a <= MAX_BIJECTION_INDEX:
         raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
-    if fib(a) != sum(comb(a - 1 - j, j) for j in range((a - 1) // 2 + 1)):
-        return False
-    if blocks is None:
-        blocks = all(zeckendorf_block_check(k) for k in range(3, a + 1))
-    return blocks
+    return all(zeckendorf_block_check(k) for k in range(3, a + 1))
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,7 @@ def test_verify_oracle_bound_is_the_cell_budget(capsys):
 def test_verify_default_oracle_budget_names_itself():
     # one parameter only: verify 31 would first run the oracle for every a <= 29
     args = cli.build_parser().parse_args(["verify", "31", "--table-bound", "1"])
-    outcome = cli._verify_one(31, args)
+    outcome = cli._verify_one(31, args, True)
     assert outcome.failures == []
     assert outcome.skipped == ["zeckendorf-bijection", "apery-table",
                                _budget_skip(1346269, 10_000_000)]
@@ -338,16 +338,11 @@ def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatc
     failed = {int(line.split()[0][2:]) for line in out.splitlines() if " FAIL" in line}
     assert failed == set(range(7, 13))
     assert out.count("  mismatch:") == out.count("  mismatch: zeckendorf-bijection\n") == 6
-    # on its own, one parameter still walks every block up to its own: the
-    # bad key is put in the first block, then in the last one
+    # one parameter walks only its own block and takes the blocks below on trust
     args = cli.build_parser().parse_args(["verify", "10", "--oracle-bound", "1"])
-    assert cli._verify_one(10, args).failures == ["zeckendorf-bijection"]
-    assert cli._verify_one(6, args).failures == []
-    monkeypatch.setattr(fib_family, "zeckendorf_indices", lambda x: () if x == 1 else real(x))
-    assert cli._verify_one(10, args).failures == ["zeckendorf-bijection"]
-    monkeypatch.setattr(fib_family, "zeckendorf_indices", lambda x: () if x == 54 else real(x))
-    assert cli._verify_one(10, args).failures == ["zeckendorf-bijection"]
-    assert cli._verify_one(9, args).failures == []
+    assert cli._verify_one(10, args, True).failures == []
+    assert cli._verify_one(10, args, False).failures == ["zeckendorf-bijection"]
+    assert cli._verify_one(7, args, True).failures == ["zeckendorf-bijection"]
 
 
 def _mismatches(out: str) -> list[str]:
@@ -365,17 +360,22 @@ def test_verify_catches_one_flipped_bit_in_the_family_bitset(capsys, monkeypatch
 
 
 def test_verify_catches_one_perturbed_beta_byte(capsys, monkeypatch):
-    real = cli.beta_bytes
+    real = fib_family.beta_bytes
 
     def perturbed(a):
         betas = bytearray(real(a))
-        betas[-1] += 1
+        betas[0] += 1  # w(0) moves from 0 to f_a; the top bit stays
         return bytes(betas)
 
-    monkeypatch.setattr(cli, "beta_bytes", perturbed)
-    code, out, _ = run(capsys, "verify", "10")
+    monkeypatch.setattr(fib_family, "beta_bytes", perturbed)
+    # the genus is read off the family bitset, so it fails without the oracle
+    code, out, _ = run(capsys, "verify", "10", "--oracle-bound", "1")
     assert code == EXIT_MISMATCH
     assert _mismatches(out) == ["mismatch: apery-beta-sum-genus"] * 8
+    code, out, _ = run(capsys, "verify", "10")
+    assert code == EXIT_MISMATCH
+    assert _mismatches(out) == ["mismatch: apery-beta-sum-genus",
+                                "mismatch: oracle-apery-table"] * 8
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):
