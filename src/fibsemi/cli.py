@@ -8,18 +8,17 @@ integer, never a float.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
 3 resource limit, out of memory, or an output stream that cannot be written
-(closed pipe, full disk).
+(closed pipe, full disk), 4 internal error (a fault in fibsemi itself,
+reported as one stderr line rather than a traceback).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import errno
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import fib_family
 from .fib_family import DEFAULT_TABLE_BOUND, FamilySummary, TableTooLarge
@@ -36,12 +35,14 @@ __all__ = [
     "EXIT_MISMATCH",
     "EXIT_USAGE",
     "EXIT_RESOURCE",
+    "EXIT_INTERNAL",
 ]
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
 
@@ -161,6 +162,8 @@ def _cell(value) -> str:
 
 
 def _write_json(payload) -> None:
+    import json  # only JSON output pays for the import
+
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
@@ -236,14 +239,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass
 class _VerifyOutcome:
-    a: int
-    record: dict
-    failures: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-    ms: int = 0
-    blocks: bool | None = None  # Zeckendorf blocks 3..a all checked out
+    def __init__(self, a: int, record: dict) -> None:
+        self.a = a
+        self.record = record
+        self.failures: list[str] = []
+        self.skipped: list[str] = []
+        self.ms = 0
+        self.blocks: bool | None = None  # Zeckendorf blocks 3..a all checked out
 
 
 def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool) -> _VerifyOutcome:
@@ -260,7 +263,7 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool) -> _Verify
     gens = s.generators  # the only generator tuple built for this index
     m, f, g, n = s.multiplicity, s.frobenius, s.genus, s.n_count
     fa = fib(a)
-    out = _VerifyOutcome(a=a, record=_record(s))
+    out = _VerifyOutcome(a, _record(s))
 
     def check(label: str, ok: bool) -> None:
         if not ok:
@@ -437,3 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         return EXIT_RESOURCE
+    except Exception as exc:  # a fault in fibsemi, not in the input or the host
+        print(f"fibsemi: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL

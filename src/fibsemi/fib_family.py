@@ -9,7 +9,7 @@ force in the feasible range and the tests require exact agreement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .fibonacci import beta, beta_bytes, fib, gamma, zeckendorf_indices
@@ -224,17 +224,12 @@ def zeckendorf_bijection_check(a: int) -> bool:
     return all(zeckendorf_block_check(k) for k in range(3, a + 1))
 
 
-@dataclass(frozen=True)
-class FamilySummary:
+class FamilySummary(namedtuple(
+        "FamilySummary",
+        "a embedding_dimension multiplicity frobenius genus n_count wilf_slack")):
     """Closed-form invariants for one family index."""
 
-    a: int
-    embedding_dimension: int
-    multiplicity: int
-    frobenius: int
-    genus: int
-    n_count: int
-    wilf_slack: int
+    __slots__ = ()
 
     @property
     def generators(self) -> tuple[int, ...]:

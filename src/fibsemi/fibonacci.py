@@ -18,7 +18,7 @@ beta_bytes(a) is beta on all of [0, f_a): the memo, or past it the same split.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "fib",
@@ -134,21 +134,17 @@ def zeckendorf_indices(x: int) -> tuple[int, ...]:
     return tuple(reversed(rev))
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
+class CoefficientVector(namedtuple("CoefficientVector", "a coeffs")):
     """Coefficients (b_2, ..., b_{a-1}) over fib(2)..fib(a-1) for ambient ``a``."""
 
-    a: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 3:
+    def __init__(self, a: int, coeffs: tuple[int, ...]) -> None:
+        if a < 3:
             raise ValueError("ambient parameter must be at least 3")
-        if len(self.coeffs) != self.a - 2:
-            raise ValueError(
-                f"ambient {self.a} needs {self.a - 2} coefficients, got {len(self.coeffs)}"
-            )
-        if any(c < 0 for c in self.coeffs):
+        if len(coeffs) != a - 2:
+            raise ValueError(f"ambient {a} needs {a - 2} coefficients, got {len(coeffs)}")
+        if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
 
     def value(self) -> int:

@@ -10,9 +10,11 @@ on the residue graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
+from itertools import repeat
 from math import gcd
-from typing import Iterable, NamedTuple
+from operator import mod, ne
 
 __all__ = [
     "SemigroupError",
@@ -31,8 +33,11 @@ __all__ = [
 
 DEFAULT_CELL_LIMIT = 10_000_000  # membership-table cells (bits)
 
-# _SET_BITS[b]: positions of the set bits of the byte b, in increasing order
-_SET_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+# _SET_BITS[b]: positions of the set bits of the byte b, in increasing order;
+# the bytes in [2**i, 2**(i + 1)) are those below 2**i with bit i added
+_SET_BITS: list[tuple[int, ...]] = [()]
+for _bit in range(8):
+    _SET_BITS += [low + (_bit,) for low in _SET_BITS]
 
 
 class SemigroupError(Exception):
@@ -63,44 +68,37 @@ class ResourceLimit(SemigroupError):
     """A computation would exceed its configured table budget."""
 
 
-@dataclass(frozen=True)
-class AperyTable:
+class AperyTable(namedtuple("AperyTable", "n w")):
     """Least semigroup element in each residue class modulo the pivot ``n``.
 
     ``w[i]`` is the least element congruent to i mod n; w[0] is always 0 and
     the table has exactly n entries.
     """
 
-    n: int
-    w: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n <= 0:
+    def __init__(self, n: int, w: tuple[int, ...]) -> None:
+        if n <= 0:
             raise ValueError("pivot must be positive")
-        if len(self.w) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(self.w)}")
-        if self.w[0] != 0:
+        if len(w) != n:
+            raise ValueError(f"expected {n} entries, got {len(w)}")
+        if w[0] != 0:
             raise ValueError("w(0) must be 0")
-        for i, wi in enumerate(self.w):
-            if wi % self.n != i:
-                raise ValueError(f"w({i}) = {wi} is not congruent to {i} mod {self.n}")
+        if any(map(ne, map(mod, w, repeat(n)), range(n))):
+            # the pass above names no residue; find the first bad one
+            i, wi = next((i, wi) for i, wi in enumerate(w) if wi % n != i)
+            raise ValueError(f"w({i}) = {wi} is not congruent to {i} mod {n}")
 
 
-class WilfResult(NamedTuple):
-    holds: bool
-    slack: int
+WilfResult = namedtuple("WilfResult", "holds slack")
 
 
-@dataclass(frozen=True)
-class SemigroupSummary:
+class SemigroupSummary(namedtuple(
+        "SemigroupSummary",
+        "frobenius genus embedding_dimension multiplicity n_count wilf_holds")):
     """Aggregate invariants of one semigroup, as computed by the oracle."""
 
-    frobenius: int
-    genus: int
-    embedding_dimension: int
-    multiplicity: int
-    n_count: int
-    wilf_holds: bool
+    __slots__ = ()
 
 
 class NumericalSemigroup:

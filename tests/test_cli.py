@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibsemi import cli, fib_family
-from fibsemi.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from fibsemi.cli import (
+    EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main,
+)
 from fibsemi.fibonacci import fib
 from fibsemi.semigroup_core import NumericalSemigroup
 
@@ -580,6 +582,17 @@ def test_out_of_memory_in_a_limited_child_exits_with_resource_code():
     )
     assert proc.returncode == EXIT_RESOURCE
     assert proc.stderr == "fibsemi: out of memory\n"
+
+
+def test_internal_error_exits_with_its_own_code_and_one_line(capsys, monkeypatch):
+    def broken(a):
+        raise RuntimeError(f"closed form broke at {a}")
+
+    monkeypatch.setattr(fib_family, "family_summary", broken)
+    code, out, err = run(capsys, "info", "7")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "fibsemi: internal error: RuntimeError: closed form broke at 7\n"
 
 
 def test_help_exits_ok(capsys):

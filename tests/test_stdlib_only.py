@@ -1,9 +1,12 @@
 """The runtime stays pure standard library: every import under src/fibsemi is
 either of fibsemi itself or of a standard-library module.  Every module also
-parses as Python 3.10, the oldest version pyproject.toml admits."""
+parses as Python 3.10, the oldest version pyproject.toml admits.  The CLI
+loads no standard-library module it has no use for."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +31,35 @@ def test_runtime_imports_only_the_standard_library():
         for name in imported_modules(tree):
             top = name.split(".")[0]
             assert top == "fibsemi" or top in sys.stdlib_module_names, (path.name, name)
+
+
+# Loaded by none of these runs: dataclasses pulls in inspect, and json is for
+# JSON output only.  typing comes in with some site .pth files, hence -S.
+UNUSED = ("dataclasses", "inspect", "typing", "json")
+
+
+def loaded_after(*argvs: list[str]) -> list[str]:
+    """Run ``fibsemi.cli.main`` on each argv in a fresh ``python -S`` and
+    return which of UNUSED it left in ``sys.modules``."""
+    code = (
+        "import sys\n"
+        "from fibsemi.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "assert codes == [0] * len(codes), codes\n"
+        f"sys.stderr.write(' '.join(m for m in {UNUSED!r} if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stderr.split()
+
+
+def test_the_cli_loads_no_module_it_does_not_use():
+    assert loaded_after(["info", "3", "--format", "csv"],
+                        ["table", "0", "40", "--format", "csv"],
+                        ["apery", "8", "--format", "csv"],
+                        ["verify", "6"]) == []
+
+
+def test_json_is_loaded_to_write_json():
+    assert loaded_after(["info", "3", "--format", "json"]) == ["json"]
