@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .fibonacci import beta, beta_bytes, fib, gamma, zeckendorf_indices
+from .fibonacci import beta, fib, gamma, zeckendorf_indices
 from .semigroup_core import AperyTable, ResourceLimit
 
 __all__ = [
@@ -85,21 +85,28 @@ def family_apery(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> AperyTabl
 def family_apery_bitset(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> int:
     """:func:`family_apery` as one int, with bit beta(x) * f_a + x set for each x.
 
-    One beta layer at a time from :func:`beta_bytes`: the x with beta(x) = k,
-    as a binary numeral with x = 0 last, parse in linear time (base 2 is
-    exempt from the int-string digit limit) and land k * f_a higher.
+    Built by the sparse-subset bijection's split [0, f_{j+1}) = [0, f_j) ++
+    (f_j + [0, f_{j-1})), with beta one higher on the second block: layer
+    L^j_k, the int with bit x set for each x < f_j with beta(x) = k, grows as
+    L^{j+1}_k = L^j_k | (L^{j-1}_{k-1} << f_j) from the seed layers [1] on
+    [0, f_2) and [1, 0b10] on [0, f_3).  Layer k of [0, f_a) lands at k * f_a.
     """
     if a < 0:
         raise ValueError("index must be nonnegative")
     if a <= 2:
         return 1
     _refuse_oversized_table(a, table_bound)
+    below, layers = [1], [1, 0b10]
+    for j in range(3, a):
+        grown = layers + [0] * (len(below) + 1 - len(layers))
+        for k, layer in enumerate(below, start=1):
+            grown[k] |= layer << fib(j)
+        below, layers = layers, grown
+    del below  # free the layers of [0, f_{a-1}) before the join
     fa = fib(a)
-    digits = beta_bytes(a)[::-1]
     bits = 0
-    for k in range(max(digits), -1, -1):
-        layer = digits.translate(b"0" * k + b"1" + b"0" * (255 - k))
-        bits = bits << fa | int(layer, 2)
+    while layers:  # top layer first, each freed once it is joined
+        bits = bits << fa | layers.pop()
     return bits
 
 

@@ -9,11 +9,11 @@ fib(1) == fib(2) == 1 is always represented by index 2.
 B(x), beta(x) and gamma(x) have one function each; the reduction of x >= f_a
 to a lighter x - f_a is one recursive carry on a single coefficient list.
 
-beta reads an append-only byte memo grown by the Fibonacci split
-[0, f_{k+1}) = [0, f_k) ++ (f_k + [0, f_{k-1})), on whose second block beta is
-one higher.  The memo stops at f_30 (832,040 bytes, enough for every table the
-default bound allows); from there on beta is the length of the greedy walk.
-beta_bytes(a) is beta on all of [0, f_a): the memo, or past it the same split.
+beta reads an append-only byte memo, byte x holding beta(x), grown by the
+Fibonacci split [0, f_{k+1}) = [0, f_k) ++ (f_k + [0, f_{k-1})), on whose
+second block beta is one higher.  The memo stops at f_30 (832,040 bytes, enough
+for every table the default bound allows); past it beta is the greedy walk's
+length.  fib_family.family_apery_bitset runs the same split on int bitsets.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ __all__ = [
     "fib",
     "gamma",
     "beta",
-    "beta_bytes",
     "zeckendorf_indices",
     "CoefficientVector",
     "reduce_by_fib",
@@ -77,8 +76,8 @@ def beta(x: int) -> int:
     """Minimum of sum(b_i) over all representations x = sum(b_i * fib(i)), i >= 2.
 
     Equals the Zeckendorf summand count.  Below f_30 it is one index into
-    the memo, grown on demand by the Fibonacci split; from f_30 on it is
-    len(zeckendorf_indices(x)), and the memo does not grow.
+    the memo, which a miss grows split step by split step up to x; from f_30
+    on it is len(zeckendorf_indices(x)), and the memo does not grow.
     """
     if 0 <= x < len(_BETAS):
         return _BETAS[x]
@@ -86,32 +85,11 @@ def beta(x: int) -> int:
         raise ValueError("beta is defined on nonnegative integers")
     if x >= fib(_BETA_MEMO_INDEX):
         return len(zeckendorf_indices(x))
-    _split_until(_BETAS, x + 1)
-    return _BETAS[x]
-
-
-def beta_bytes(a: int) -> bytes:
-    """beta(x) for every x < f_a, as f_a bytes: byte x is beta(x).
-
-    Up to f_30 a copy of the memo; past it the split goes on in a local
-    buffer and the memo does not grow.  Callers bound f_a themselves.
-    """
-    n, cap = fib(a), fib(_BETA_MEMO_INDEX)
-    _split_until(_BETAS, min(n, cap))
-    if n <= cap:
-        return bytes(_BETAS[:n])
-    betas = bytearray(_BETAS)  # exactly [0, f_30)
-    _split_until(betas, n)
-    return bytes(betas)
-
-
-def _split_until(betas: bytearray, n: int) -> None:
-    """Grow ``betas``, which holds beta on [0, f_k) for some k >= 3, one split
-    step at a time until it covers [0, n)."""
-    k = gamma(len(betas))
-    while len(betas) < n:
-        betas += betas[:_FIBS[k - 1]].translate(_PLUS_ONE)
+    k = gamma(len(_BETAS))  # the memo covers [0, f_k)
+    while len(_BETAS) <= x:
+        _BETAS.extend(_BETAS[:_FIBS[k - 1]].translate(_PLUS_ONE))
         k += 1
+    return _BETAS[x]
 
 
 def zeckendorf_indices(x: int) -> tuple[int, ...]:

@@ -361,15 +361,11 @@ def test_verify_catches_one_flipped_bit_in_the_family_bitset(capsys, monkeypatch
     assert _mismatches(out) == ["mismatch: oracle-apery-table"] * 8
 
 
-def test_verify_catches_one_perturbed_beta_byte(capsys, monkeypatch):
-    real = fib_family.beta_bytes
-
-    def perturbed(a):
-        betas = bytearray(real(a))
-        betas[0] += 1  # w(0) moves from 0 to f_a; the top bit stays
-        return bytes(betas)
-
-    monkeypatch.setattr(fib_family, "beta_bytes", perturbed)
+def test_verify_catches_w0_moved_up_by_f_a(capsys, monkeypatch):
+    real = fib_family.family_apery_bitset
+    # w(0) moves from 0 to f_a, one window up; the top bit stays
+    monkeypatch.setattr(fib_family, "family_apery_bitset",
+                        lambda a, **kw: real(a, **kw) ^ 1 ^ 1 << fib(a))
     # the genus is read off the family bitset, so it fails without the oracle
     code, out, _ = run(capsys, "verify", "10", "--oracle-bound", "1")
     assert code == EXIT_MISMATCH
@@ -609,6 +605,8 @@ def test_unknown_command_exits_with_usage():
 _BAD = st.sampled_from(["-3", "x", "", "2.5", "--", "-h"])
 _COMMANDS = st.one_of(
     st.tuples(st.sampled_from(["info", "apery"]), st.integers(0, 18)),
+    # past every --table-bound drawn below: exit 3 before f_a is computed
+    st.tuples(st.just("apery"), st.integers(31, 10**9)),
     st.tuples(st.just("table"), st.integers(0, 18), st.integers(0, 18)),
     st.tuples(st.just("verify"), st.integers(0, 12)),
     st.lists(st.integers(1, 10**4), min_size=1, max_size=4).map(

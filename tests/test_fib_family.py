@@ -116,9 +116,19 @@ def test_apery_table_bound_refuses_before_computing_f_a():
         family_apery(31)
 
 
+def _as_bits(ws) -> int:
+    # linear in max(ws): sum(1 << w ...) would be quadratic in f_a
+    buf = bytearray(max(ws) // 8 + 1)
+    for w in ws:
+        buf[w >> 3] |= 1 << (w & 7)
+    return int.from_bytes(buf, "little")
+
+
 def test_apery_bitset_is_the_table_as_bits():
-    for a in range(23):
-        assert family_apery_bitset(a) == sum(1 << w for w in family_apery(a).w), a
+    top = gamma(DEFAULT_TABLE_BOUND)  # the largest a the default bound admits
+    assert top == 30
+    for a in range(top + 1):
+        assert family_apery_bitset(a) == _as_bits(family_apery(a).w), a
 
 
 def test_apery_bitset_needs_no_int_string_digit_limit():

@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibsemi import fibonacci
-from fibsemi.fib_family import DEFAULT_TABLE_BOUND
+from fibsemi.fib_family import DEFAULT_TABLE_BOUND, family_apery_bitset
 from fibsemi.fibonacci import (
     CoefficientVector,
     beta,
-    beta_bytes,
     fib,
     gamma,
     reduce_by_fib,
@@ -191,61 +190,38 @@ def test_beta_memo_covers_every_default_table():
     assert fib(cap) <= DEFAULT_TABLE_BOUND < fib(cap + 1)
 
 
-def test_beta_bytes_equal_the_walk_below_f26():
-    betas = beta_bytes(26)
-    assert len(betas) == fib(26)
-    for x in range(fib(26)):
-        assert betas[x] == len(zeckendorf_indices(x))
-
-
 @cache
-def _beta_bytes_past_the_cap() -> bytes:
-    return beta_bytes(32)
+def _apery_bitset_past_the_cap() -> int:
+    return family_apery_bitset(32, table_bound=fib(32))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=fib(32) - 1), min_size=1, max_size=20))
 @settings(max_examples=50, deadline=None)
-def test_beta_bytes_equal_the_walk_across_the_cap(xs):
-    betas = _beta_bytes_past_the_cap()
-    for x in xs + [fib(30) - 1, fib(30), fib(31), fib(32) - 1]:
-        assert betas[x] == len(zeckendorf_indices(x)), x
-
-
-def test_beta_bytes_shapes_and_the_memo_cap():
-    assert [beta_bytes(a) for a in range(4)] == [b"", b"\x00", b"\x00", b"\x00\x01"]
-    betas = _beta_bytes_past_the_cap()
-    assert len(betas) == fib(32)
-    assert betas[:fib(30)] == beta_bytes(30)
-    assert len(fibonacci._BETAS) <= fib(30)
-    with pytest.raises(ValueError):
-        beta_bytes(-1)
-
-
-def test_beta_bytes_past_the_cap_leave_the_memo_alone():
-    # a fresh interpreter, so earlier tests have not grown the memo already
-    script = (
-        "from fibsemi import fibonacci as z\n"
-        "z.beta_bytes(20); print(len(z._BETAS))\n"
-        "z.beta_bytes(32); print(len(z._BETAS))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == [str(fib(20)), str(fib(30))]
+def test_apery_bitset_holds_the_walk_across_the_cap(xs):
+    # past f_30, beta is the greedy walk, so the int split meets it there
+    bits, fa = _apery_bitset_past_the_cap(), fib(32)
+    assert bits.bit_count() == fa
+    for x in xs + [fib(30) - 1, fib(30), fib(31), fa - 1]:
+        assert bits >> beta(x) * fa + x & 1, x
 
 
 def test_beta_memo_grows_only_as_far_as_asked():
     # a fresh interpreter, so earlier tests have not grown the memo already;
-    # x at or above the f_30 cap takes the walk and leaves the memo alone
+    # x at or above the f_30 cap takes the walk and leaves the memo alone, and
+    # the family bitset splits ints without reading the memo at all
     script = (
         "from fibsemi import fibonacci as z\n"
         "z.beta(z.fib(20) - 1); print(len(z._BETAS))\n"
         "z.beta(z.fib(30) + 1); print(len(z._BETAS))\n"
         "z.beta(z.fib(30) - 1); print(len(z._BETAS))\n"
         "z.beta(10**40); print(len(z._BETAS))\n"
+        "from fibsemi.fib_family import family_apery_bitset\n"
+        "family_apery_bitset(32, table_bound=z.fib(32)); print(len(z._BETAS))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == [str(n) for n in (fib(20), fib(20), fib(30), fib(30))]
+    expected = (fib(20), fib(20), fib(30), fib(30), fib(30))
+    assert proc.stdout.split() == [str(n) for n in expected]
 
 
 def test_min_weight_oracle_known_values():
