@@ -7,74 +7,16 @@ brute-force oracle for any coprime generator list), and ``fib_family``
 The closed forms and the oracle compute the same invariants by unrelated
 algorithms; the test suite and the ``verify`` CLI subcommand hold them to
 exact agreement.
+
+The package exports every name in the three modules' ``__all__``, which are
+the only lists of public names, and ``__version__``.
 """
-from .fibonacci import (
-    CoefficientVector,
-    beta,
-    fib,
-    gamma,
-    reduce_by_fib,
-    zeckendorf_indices,
-)
-from .semigroup_core import (
-    AperyTable,
-    EmptyGenerators,
-    NotCoprime,
-    NumericalSemigroup,
-    PivotNotInSemigroup,
-    PivotZero,
-    ResourceLimit,
-    SemigroupError,
-    SemigroupSummary,
-    WilfResult,
-    ZeroGenerator,
-)
-from .fib_family import (
-    FamilySummary,
-    TableTooLarge,
-    family_apery,
-    family_apery_value,
-    family_frobenius,
-    family_generators,
-    family_genus,
-    family_genus_recurrence_check,
-    family_genus_sum,
-    family_summary,
-    kaplansky_count,
-    zeckendorf_bijection_check,
-)
+from . import fib_family, fibonacci, semigroup_core
+from .fib_family import *
+from .fibonacci import *
+from .semigroup_core import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "fib",
-    "gamma",
-    "beta",
-    "zeckendorf_indices",
-    "CoefficientVector",
-    "reduce_by_fib",
-    "NumericalSemigroup",
-    "AperyTable",
-    "WilfResult",
-    "SemigroupSummary",
-    "SemigroupError",
-    "EmptyGenerators",
-    "ZeroGenerator",
-    "NotCoprime",
-    "PivotZero",
-    "PivotNotInSemigroup",
-    "ResourceLimit",
-    "family_generators",
-    "family_apery",
-    "family_apery_value",
-    "family_frobenius",
-    "family_genus",
-    "family_genus_sum",
-    "family_genus_recurrence_check",
-    "kaplansky_count",
-    "zeckendorf_bijection_check",
-    "FamilySummary",
-    "family_summary",
-    "TableTooLarge",
-    "__version__",
-]
+__all__ = [*fibonacci.__all__, *semigroup_core.__all__, *fib_family.__all__,
+           "__version__"]

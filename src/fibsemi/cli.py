@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     tables = argparse.ArgumentParser(add_help=False)
     tables.add_argument(
         "--table-bound", type=_positive, default=DEFAULT_TABLE_BOUND, metavar="N",
-        help=f"largest residue table that will be materialized "
-             f"(default {DEFAULT_TABLE_BOUND})",
+        help=f"largest f_a, the residue count, for apery's table and verify's "
+             f"closed-form bitset (default {DEFAULT_TABLE_BOUND})",
     )
 
     parser = _Parser(

@@ -34,7 +34,7 @@ __all__ = [
     "family_summary",
 ]
 
-DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a for which a full Apery table is built
+DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a (residues) of an Apery table or bitset
 MAX_BIJECTION_INDEX = 25  # largest a the Zeckendorf bijection check walks
 
 

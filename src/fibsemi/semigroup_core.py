@@ -3,10 +3,10 @@
 No family shortcuts live here.  Membership is a reachability bitset R over
 the generators, and the Apery set of a pivot n is the bitset R & ~(R << n),
 {s in S : s - n not in S}.  Every other invariant (Frobenius number, genus,
-minimal generators, gap list, Wilf check) derives from R; F and the genus are
-read off the Apery bitset at the multiplicity, with no per-residue table.  The
-test suite plays it against an independent route: Nijenhuis's shortest paths
-on the residue graph.
+minimal generators, gap list, Wilf check) derives from R: F is R's highest
+clear cell, and the genus is read off the Apery bitset at the multiplicity,
+with no per-residue table.  The test suite plays it against an independent
+route: Nijenhuis's shortest paths on the residue graph.
 """
 from __future__ import annotations
 
@@ -111,8 +111,7 @@ class NumericalSemigroup:
     n, which needs F + n + 1, is refused before it is allocated.
     """
 
-    __slots__ = ("generators", "multiplicity", "cell_limit",
-                 "_reach", "_apery_bits", "_msg")
+    __slots__ = ("generators", "multiplicity", "cell_limit", "_reach", "_msg")
 
     def __init__(self, generators: Iterable[int], *, cell_limit: int = DEFAULT_CELL_LIMIT):
         gens = sorted(set(generators))
@@ -129,7 +128,6 @@ class NumericalSemigroup:
         self.multiplicity: int = gens[0]
         self.cell_limit = cell_limit
         self._reach: tuple[int, bytes] | None = None
-        self._apery_bits: dict[int, int] = {}
         self._msg: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
@@ -184,9 +182,6 @@ class NumericalSemigroup:
         largest being F + n.  That needs F + n + 1 cells of ``cell_limit``;
         a pivot that needs more is refused before anything is allocated.
         """
-        bits = self._apery_bits.get(n)
-        if bits is not None:
-            return bits
         if n <= 0:
             raise PivotZero("Apery pivot must be a positive integer")
         if not self.contains(n):
@@ -200,8 +195,7 @@ class NumericalSemigroup:
             )
         reach = (int.from_bytes(table, "little") & ((1 << (f + 1)) - 1)
                  | ((1 << n) - 1) << (f + 1))
-        bits = self._apery_bits[n] = reach & ~(reach << n)
-        return bits
+        return reach & ~(reach << n)
 
     def apery(self, n: int) -> AperyTable:
         """Apery set of ``n`` as a table, decoded from :meth:`apery_bitset`."""
@@ -215,8 +209,9 @@ class NumericalSemigroup:
         return AperyTable(n, tuple(w))
 
     def frobenius(self) -> int:
-        """max Ap(S, m) - m; equals -1 exactly when the semigroup is all of N."""
-        return self.apery_bitset(self.multiplicity).bit_length() - 1 - self.multiplicity
+        """The highest clear cell of the membership table R; equals -1 exactly
+        when the semigroup is all of N."""
+        return self._reachability()[0]
 
     def genus(self) -> int:
         """Number of gaps: the sum of the k_i in w(i) = k_i * m + i over Ap(S, m).

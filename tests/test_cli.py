@@ -254,6 +254,18 @@ def test_verify_oracle_bound_is_the_cell_budget(capsys):
     assert json.loads(out)[-1]["skipped"] == [_budget_skip(34, 169)]
 
 
+def test_verify_table_bound_is_f_a(capsys):
+    # f_10 = 55 residues; only a = 10 has more than 54
+    code, out, _ = run(capsys, "verify", "10", "--table-bound", "54")
+    assert code == EXIT_OK
+    skipped = [l for l in out.splitlines() if "skipped" in l]
+    assert len(skipped) == 1
+    assert skipped[0].startswith("a=10 m=55 ok skipped[apery-table] ")
+    code, out, _ = run(capsys, "verify", "10", "--table-bound", "55")
+    assert code == EXIT_OK
+    assert "skipped" not in out
+
+
 def test_verify_default_oracle_budget_names_itself():
     # one parameter only: verify 31 would first run the oracle for every a <= 29
     args = cli.build_parser().parse_args(["verify", "31", "--table-bound", "1"])

@@ -295,7 +295,7 @@ def test_apery_bitset_equals_dijkstra(gens):
     twice_g = 2 * sum(w) - m * (m - 1)
     assert twice_g % (2 * m) == 0
     assert twice_g // (2 * m) + sg.n_count() == f + 1
-    # F and g read off the bitset's top bit and windows, against the same table
+    # F from R's highest clear cell, g from the bitset's windows: against the same table
     assert sg.frobenius() == f
     assert sg.genus() == sum((wi - i) // m for i, wi in enumerate(w))
 

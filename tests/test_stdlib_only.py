@@ -1,7 +1,8 @@
 """The runtime stays pure standard library: every import under src/fibsemi is
 either of fibsemi itself or of a standard-library module.  Every module also
 parses as Python 3.10, the oldest version pyproject.toml admits.  The CLI
-loads no standard-library module it has no use for."""
+loads no standard-library module it has no use for.  The package's public
+names are its modules' ``__all__`` lists, stated once."""
 from __future__ import annotations
 
 import ast
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import fibsemi
+from fibsemi import fib_family, fibonacci, semigroup_core
 
 PACKAGE = Path(fibsemi.__file__).parent
 
@@ -63,3 +65,19 @@ def test_the_cli_loads_no_module_it_does_not_use():
 
 def test_json_is_loaded_to_write_json():
     assert loaded_after(["info", "3", "--format", "json"]) == ["json"]
+
+
+MODULES = (fibonacci, semigroup_core, fib_family)
+
+
+def test_the_package_exports_its_modules_all():
+    for module in MODULES:
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
+        for name in module.__all__:
+            assert getattr(fibsemi, name) is getattr(module, name), name
+    assert fibsemi.__all__ == [*fibonacci.__all__, *semigroup_core.__all__,
+                               *fib_family.__all__, "__version__"]
+    namespace: dict = {}
+    exec("from fibsemi import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(fibsemi.__all__)
