@@ -70,12 +70,17 @@ def _positive(text: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse, except that help which cannot be written raises ``OSError``
-    rather than being dropped, so ``main`` can exit 3 instead of 0."""
+    rather than being dropped, so ``main`` can exit 3 instead of 0, and that a
+    usage error goes to stderr only, never to stdout in its place."""
 
     def print_help(self, file=None) -> None:
         file = file or sys.stdout
         if file is not None:  # no stdout at all is main's to report
             file.write(self.format_help())
+
+    def error(self, message: str):
+        _note(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(EXIT_USAGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,8 +219,8 @@ def cmd_apery(args: argparse.Namespace) -> int:
         writer.writerow(("x", "beta", "w"))
         writer.writerows(rows)
     else:
-        xw = max(len(str(table.n - 1)), 1)
-        ww = max(len(str(max(table.w))), 1)
+        xw = len(str(table.n - 1))
+        ww = len(str(max(table.w)))
         out.writelines(f"{x:>{xw}}  {b:>2}  {w:>{ww}}\n" for x, b, w in rows)
     return EXIT_OK
 
@@ -323,7 +328,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         blocks = outcomes[-1].blocks
 
     failed = [o for o in outcomes if o.failures]
-    detail = sys.stdout if args.format == "text" else sys.stderr
+    detail = print if args.format == "text" else _note
 
     if args.format == "text":
         for o in outcomes:
@@ -345,14 +350,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _write_json(rows)
         for o in failed:
             for label in o.failures:
-                print(f"a={o.a} mismatch: {label}", file=detail)
+                detail(f"a={o.a} mismatch: {label}")
 
     total_ms = sum(o.ms for o in outcomes)
-    print(
-        f"verify: {len(outcomes)} parameters, {len(outcomes) - len(failed)} ok, "
-        f"{len(failed)} failed, {total_ms}ms",
-        file=detail,
-    )
+    detail(f"verify: {len(outcomes)} parameters, {len(outcomes) - len(failed)} ok, "
+           f"{len(failed)} failed, {total_ms}ms")
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
@@ -379,18 +381,31 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _silence_stdout() -> None:
-    """Point stdout's descriptor at the null device, so the interpreter's own
-    flush at shutdown cannot fail again and print "Exception ignored"."""
-    if sys.stdout is None:
+def _silence(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so the interpreter's
+    own flush at shutdown cannot fail again and print "Exception ignored"."""
+    if stream is None:
         return
     try:
-        fd = sys.stdout.fileno()
-    except (OSError, ValueError):  # no descriptor behind a replaced stdout
+        fd = stream.fileno()
+    except (OSError, ValueError):  # no descriptor behind a replaced stream
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _note(line: str) -> None:
+    """Write one diagnostic line to stderr, best effort.  Without a stderr
+    the line is dropped rather than sent to stdout, as ``print`` would, and a
+    stderr that cannot be written is silenced, so neither stdout nor the exit
+    code depends on it."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _silence(sys.stderr)
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -404,16 +419,15 @@ def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except ResourceLimit as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        _note(f"{type(exc).__name__}: {exc}")
         if isinstance(exc, TableTooLarge):
-            print("hint: raise --table-bound to materialize larger tables",
-                  file=sys.stderr)
+            _note("hint: raise --table-bound to materialize larger tables")
         return EXIT_RESOURCE
     except MemoryError:
-        print("fibsemi: out of memory", file=sys.stderr)
+        _note("fibsemi: out of memory")
         return EXIT_RESOURCE
     except SemigroupError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        _note(f"{type(exc).__name__}: {exc}")
         return EXIT_USAGE
     finally:
         if limited:
@@ -434,12 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a buffered write fails here, not at shutdown
         return code
     except OSError as exc:  # stdout closed, closed by its reader, or disk full
-        _silence_stdout()
-        try:
-            print(f"fibsemi: cannot write output: {exc}", file=sys.stderr)
-        except OSError:
-            pass
+        _silence(sys.stdout)
+        _note(f"fibsemi: cannot write output: {exc}")
         return EXIT_RESOURCE
     except Exception as exc:  # a fault in fibsemi, not in the input or the host
-        print(f"fibsemi: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _note(f"fibsemi: internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL

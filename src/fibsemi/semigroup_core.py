@@ -33,13 +33,6 @@ __all__ = [
 
 DEFAULT_CELL_LIMIT = 10_000_000  # membership-table cells (bits)
 
-# _SET_BITS[b]: positions of the set bits of the byte b, in increasing order;
-# the bytes in [2**i, 2**(i + 1)) are those below 2**i with bit i added
-_SET_BITS: list[tuple[int, ...]] = [()]
-for _bit in range(8):
-    _SET_BITS += [low + (_bit,) for low in _SET_BITS]
-
-
 class SemigroupError(Exception):
     """Base class for validation and resource errors raised by this package."""
 
@@ -102,16 +95,17 @@ class SemigroupSummary(namedtuple(
 
 
 class NumericalSemigroup:
-    """A validated coprime generator list with lazily cached invariants.
+    """A validated coprime generator list with lazily computed invariants.
 
-    Instances are immutable after construction; the caches only ever hold
-    values identical to a fresh recomputation.  Every table shares one budget
-    of ``cell_limit`` cells (bits): the membership table, which needs
-    F + m + 1 cells, refuses to grow past it, and the Apery table of a pivot
-    n, which needs F + n + 1, is refused before it is allocated.
+    Instances are immutable after construction.  The membership table R is
+    the one cache; every other invariant is recomputed from it on each call.
+    Every table shares one budget of ``cell_limit`` cells (bits): the
+    membership table, which needs F + m + 1 cells, refuses to grow past it,
+    and the Apery table of a pivot n, which needs F + n + 1, is refused
+    before it is allocated.
     """
 
-    __slots__ = ("generators", "multiplicity", "cell_limit", "_reach", "_msg")
+    __slots__ = ("generators", "multiplicity", "cell_limit", "_reach")
 
     def __init__(self, generators: Iterable[int], *, cell_limit: int = DEFAULT_CELL_LIMIT):
         gens = sorted(set(generators))
@@ -119,16 +113,13 @@ class NumericalSemigroup:
             raise EmptyGenerators("at least one generator is required")
         if gens[0] <= 0:
             raise ZeroGenerator(f"generators must be positive, got {gens[0]}")
-        g = 0
-        for x in gens:
-            g = gcd(g, x)
+        g = gcd(*gens)
         if g != 1:
             raise NotCoprime(f"generators {gens} have gcd {g}")
         self.generators: tuple[int, ...] = tuple(gens)
         self.multiplicity: int = gens[0]
         self.cell_limit = cell_limit
         self._reach: tuple[int, bytes] | None = None
-        self._msg: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup{self.generators!r}"
@@ -199,13 +190,12 @@ class NumericalSemigroup:
 
     def apery(self, n: int) -> AperyTable:
         """Apery set of ``n`` as a table, decoded from :meth:`apery_bitset`."""
-        bits = self.apery_bitset(n)
+        digits = bin(self.apery_bitset(n))[:1:-1]  # digits[s] is bit s
         w = [0] * n
-        for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) // 8, "little")):
-            if byte:
-                for b in _SET_BITS[byte]:
-                    s = (i << 3) + b
-                    w[s % n] = s
+        s = digits.find("1")
+        while s >= 0:
+            w[s % n] = s
+            s = digits.find("1", s + 1)
         return AperyTable(n, tuple(w))
 
     def frobenius(self) -> int:
@@ -232,11 +222,9 @@ class NumericalSemigroup:
         element for some smaller input generator h: a nonzero summand s < g
         is h plus an element for some input generator h <= s.
         """
-        if self._msg is None:
-            gens = self.generators
-            self._msg = tuple(g for i, g in enumerate(gens)
-                              if not any(self.contains(g - h) for h in gens[:i]))
-        return self._msg
+        gens = self.generators
+        return tuple(g for i, g in enumerate(gens)
+                     if not any(self.contains(g - h) for h in gens[:i]))
 
     def embedding_dimension(self) -> int:
         return len(self.minimal_generators())

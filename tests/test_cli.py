@@ -543,6 +543,28 @@ def test_closed_stdout_descriptor_exits_with_resource_code(capsys, monkeypatch):
     assert proc.stderr == "fibsemi: cannot write output: [Errno 9] standard output is closed\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "verify 12 --format csv", "verify 12 --format json", "semigroup 4 6",
+    "apery 40", "frob",
+])
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_unwritable_stderr_changes_neither_stdout_nor_exit_code(argv):
+    # a buffered stdout, as users get it: PYTHONUNBUFFERED hides the lost output
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    def run_with(stderr):
+        return subprocess.run(
+            ["sh", "-c", f'exec "$@" {stderr}', "sh", sys.executable, "-m", "fibsemi",
+             *argv.split()],
+            stdout=subprocess.PIPE, env=env,
+        )
+
+    expected = run_with("2>/dev/null")
+    for stderr in ("2>&-", "2>/dev/full"):
+        proc = run_with(stderr)
+        assert (proc.returncode, proc.stdout) == (expected.returncode, expected.stdout), stderr
+
+
 def _full(*_):
     raise OSError(errno.ENOSPC, "No space left on device")
 

@@ -173,6 +173,19 @@ def test_apery_matches_oracle():
         assert NumericalSemigroup(gens).apery(fib(a)) == family_apery(a)
 
 
+def test_oracle_apery_needs_no_int_string_digit_limit():
+    # the oracle's Apery bitset of f_24 has 556,416 binary digits, past 4300
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        table = NumericalSemigroup(family_generators(24)).apery(fib(24))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert table == family_apery(24)
+
+
 # -- Frobenius ----------------------------------------------------------------
 
 def test_frobenius_known_values():
