@@ -360,18 +360,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_semigroup(args: argparse.Namespace) -> int:
     sg = NumericalSemigroup(args.generators)
-    summary = sg.summary()
-    wilf = sg.wilf_check()
+    n = sg.n_count()  # an out-of-budget table refuses before any Apery table
+    f = sg.frobenius()
+    genus = sg.genus()
+    assert genus + n == f + 1, "genus + n(S) must equal F(S) + 1"
+    minimal = sg.minimal_generators()  # one pass: e and Wilf derive from it
+    slack = len(minimal) * n - (f + 1)
     record = {
         "generators": sg.generators,
-        "minimal_generators": sg.minimal_generators(),
-        "m": summary.multiplicity,
-        "e": summary.embedding_dimension,
-        "frobenius": summary.frobenius,
-        "genus": summary.genus,
-        "n": summary.n_count,
-        "wilf_holds": wilf.holds,
-        "wilf_slack": wilf.slack,
+        "minimal_generators": minimal,
+        "m": sg.multiplicity,
+        "e": len(minimal),
+        "frobenius": f,
+        "genus": genus,
+        "n": n,
+        "wilf_holds": slack >= 0,
+        "wilf_slack": slack,
         "gaps": sg.gaps(),
     }
     _write_record(args.format, record,

@@ -190,12 +190,13 @@ class NumericalSemigroup:
 
     def apery(self, n: int) -> AperyTable:
         """Apery set of ``n`` as a table, decoded from :meth:`apery_bitset`."""
-        digits = bin(self.apery_bitset(n))[:1:-1]  # digits[s] is bit s
+        # bin()'s digits, reversed, split at each set bit: the runs of clear bits
+        runs = bin(self.apery_bitset(n))[:1:-1].split("1")[:-1]
         w = [0] * n
-        s = digits.find("1")
-        while s >= 0:
+        s = -1
+        for run in runs:
+            s += len(run) + 1  # the next set bit
             w[s % n] = s
-            s = digits.find("1", s + 1)
         return AperyTable(n, tuple(w))
 
     def frobenius(self) -> int:
@@ -248,18 +249,20 @@ class NumericalSemigroup:
         return WilfResult(f1 <= target, target - f1)
 
     def summary(self) -> SemigroupSummary:
-        """All invariants at once, with the g + n = F + 1 identity asserted."""
+        """All invariants at once, with the g + n = F + 1 identity asserted;
+        the minimal generators are found once, for e and for Wilf."""
         n = self.n_count()  # an out-of-budget table refuses before any Apery table
         f = self.frobenius()
         g = self.genus()
         assert g + n == f + 1, "genus + n(S) must equal F(S) + 1"
+        e = self.embedding_dimension()
         return SemigroupSummary(
             frobenius=f,
             genus=g,
-            embedding_dimension=self.embedding_dimension(),
+            embedding_dimension=e,
             multiplicity=self.multiplicity,
             n_count=n,
-            wilf_holds=self.wilf_check().holds,
+            wilf_holds=f + 1 <= e * n,
         )
 
 
