@@ -303,12 +303,12 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool) -> _Verify
 
     try:
         oracle = NumericalSemigroup(gens, cell_limit=args.oracle_bound)
-        oracle_n = oracle.n_count()  # an out-of-budget table refuses first
-        check("oracle-multiplicity", oracle.multiplicity == m)
-        check("oracle-frobenius", oracle.frobenius() == f)
-        check("oracle-genus", oracle.genus() == g)
-        check("oracle-n-count", oracle_n == n)
-        check("oracle-minimal-generators", oracle.minimal_generators() == gens)
+        o = oracle.summary()
+        check("oracle-multiplicity", o.multiplicity == m)
+        check("oracle-frobenius", o.frobenius == f)
+        check("oracle-genus", o.genus == g)
+        check("oracle-n-count", o.n_count == n)
+        check("oracle-minimal-generators", o.minimal_generators == gens)
         if family_bits is not None:
             check("oracle-apery-table", oracle.apery_bitset(fa) == family_bits)
     except ResourceLimit as exc:
@@ -360,22 +360,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_semigroup(args: argparse.Namespace) -> int:
     sg = NumericalSemigroup(args.generators)
-    n = sg.n_count()  # an out-of-budget table refuses before any Apery table
-    f = sg.frobenius()
-    genus = sg.genus()
-    assert genus + n == f + 1, "genus + n(S) must equal F(S) + 1"
-    minimal = sg.minimal_generators()  # one pass: e and Wilf derive from it
-    slack = len(minimal) * n - (f + 1)
+    s = sg.summary()
     record = {
         "generators": sg.generators,
-        "minimal_generators": minimal,
-        "m": sg.multiplicity,
-        "e": len(minimal),
-        "frobenius": f,
-        "genus": genus,
-        "n": n,
-        "wilf_holds": slack >= 0,
-        "wilf_slack": slack,
+        "minimal_generators": s.minimal_generators,
+        "m": s.multiplicity,
+        "e": s.embedding_dimension,
+        "frobenius": s.frobenius,
+        "genus": s.genus,
+        "n": s.n_count,
+        "wilf_holds": s.wilf_holds,
+        "wilf_slack": s.wilf_slack,
         "gaps": sg.gaps(),
     }
     _write_record(args.format, record,

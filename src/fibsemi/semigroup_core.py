@@ -3,7 +3,7 @@
 No family shortcuts live here.  Membership is a reachability bitset R over
 the generators, and the Apery set of a pivot n is the bitset R & ~(R << n),
 {s in S : s - n not in S}.  Every other invariant (Frobenius number, genus,
-minimal generators, gap list, Wilf check) derives from R: F is R's highest
+minimal generators, gap list, Wilf slack) derives from R: F is R's highest
 clear cell, and the genus is read off the Apery bitset at the multiplicity,
 with no per-residue table.  The test suite plays it against an independent
 route: Nijenhuis's shortest paths on the residue graph.
@@ -25,7 +25,6 @@ __all__ = [
     "PivotNotInSemigroup",
     "ResourceLimit",
     "AperyTable",
-    "WilfResult",
     "SemigroupSummary",
     "NumericalSemigroup",
     "DEFAULT_CELL_LIMIT",
@@ -83,13 +82,13 @@ class AperyTable(namedtuple("AperyTable", "n w")):
             raise ValueError(f"w({i}) = {wi} is not congruent to {i} mod {n}")
 
 
-WilfResult = namedtuple("WilfResult", "holds slack")
-
-
 class SemigroupSummary(namedtuple(
         "SemigroupSummary",
-        "frobenius genus embedding_dimension multiplicity n_count wilf_holds")):
-    """Aggregate invariants of one semigroup, as computed by the oracle."""
+        "frobenius genus embedding_dimension multiplicity n_count wilf_holds "
+        "wilf_slack minimal_generators")):
+    """Aggregate invariants of one semigroup, as computed by the oracle: e, F,
+    g and n, and Wilf's inequality F + 1 <= e * n with its slack e * n - (F + 1).
+    """
 
     __slots__ = ()
 
@@ -242,27 +241,25 @@ class NumericalSemigroup:
         f, table = self._reachability()
         return [x for x in range(1, f + 1) if not table[x >> 3] >> (x & 7) & 1]
 
-    def wilf_check(self) -> WilfResult:
-        """Wilf inequality F + 1 <= e * n, together with its integer slack."""
-        target = self.embedding_dimension() * self.n_count()
-        f1 = self.frobenius() + 1
-        return WilfResult(f1 <= target, target - f1)
-
     def summary(self) -> SemigroupSummary:
-        """All invariants at once, with the g + n = F + 1 identity asserted;
-        the minimal generators are found once, for e and for Wilf."""
-        n = self.n_count()  # an out-of-budget table refuses before any Apery table
+        """All invariants at once, with the g + n = F + 1 identity asserted.
+        The minimal generators are found once; e and Wilf's slack derive from
+        them."""
+        n = self.n_count()
         f = self.frobenius()
         g = self.genus()
         assert g + n == f + 1, "genus + n(S) must equal F(S) + 1"
-        e = self.embedding_dimension()
+        minimal = self.minimal_generators()
+        slack = len(minimal) * n - (f + 1)
         return SemigroupSummary(
             frobenius=f,
             genus=g,
-            embedding_dimension=e,
+            embedding_dimension=len(minimal),
             multiplicity=self.multiplicity,
             n_count=n,
-            wilf_holds=f + 1 <= e * n,
+            wilf_holds=slack >= 0,
+            wilf_slack=slack,
+            minimal_generators=minimal,
         )
 
 

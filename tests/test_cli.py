@@ -462,14 +462,47 @@ def test_semigroup_huge_generators_refused(capsys):
 
 
 def test_semigroup_refused_before_any_apery_table(capsys, monkeypatch):
-    pivots = []
-    real = NumericalSemigroup.apery
-    monkeypatch.setattr(NumericalSemigroup, "apery",
-                        lambda self, n: pivots.append(n) or real(self, n))
+    pivots = []  # the pivots whose Apery bitset was built
+    real = NumericalSemigroup.apery_bitset
+
+    def spy(self, n):
+        bits = real(self, n)
+        pivots.append(n)
+        return bits
+
+    monkeypatch.setattr(NumericalSemigroup, "apery_bitset", spy)
     code, _, err = run(capsys, "semigroup", "1000003", "1000033")
     assert code == EXIT_RESOURCE
     assert "membership table" in err
     assert pivots == []
+
+
+def test_semigroup_makes_one_oracle_pass(capsys, monkeypatch):
+    # every generator is minimal, so each pass over them costs up to
+    # k(k - 1)/2 membership tests for k generators
+    calls = {"summary": 0, "minimal_generators": 0}
+    for name in calls:
+        real = getattr(NumericalSemigroup, name)
+
+        def counted(self, real=real, name=name):
+            calls[name] += 1
+            return real(self)
+
+        monkeypatch.setattr(NumericalSemigroup, name, counted)
+    assert main(["semigroup", *map(str, range(1000, 1100))]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"summary": 1, "minimal_generators": 1}
+
+
+def test_verify_oracle_breaking_its_own_identity_is_an_internal_error(capsys, monkeypatch):
+    # g + n = F + 1 is the oracle's own identity: breaking it is a fault in
+    # fibsemi, not a disagreement between the two routes
+    real = NumericalSemigroup.n_count
+    monkeypatch.setattr(NumericalSemigroup, "n_count", lambda self: real(self) + 1)
+    code, _, err = run(capsys, "verify", "8")
+    assert code == EXIT_INTERNAL
+    assert err == ("fibsemi: internal error: AssertionError: "
+                   "genus + n(S) must equal F(S) + 1\n")
 
 
 def test_semigroup_text_report(capsys):

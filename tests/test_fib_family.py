@@ -408,11 +408,14 @@ def test_summary_trivial_parameter():
 def test_summary_oracle_scale_and_identity_scale():
     # full oracle agreement where feasible
     s = family_summary(14)
-    sg = NumericalSemigroup(s.generators)
-    assert sg.frobenius() == s.frobenius
-    assert sg.genus() == s.genus
-    assert sg.n_count() == s.n_count
-    assert sg.embedding_dimension() == s.embedding_dimension
+    o = NumericalSemigroup(s.generators).summary()
+    assert o.frobenius == s.frobenius
+    assert o.genus == s.genus
+    assert o.embedding_dimension == s.embedding_dimension
+    assert o.multiplicity == s.multiplicity
+    assert o.n_count == s.n_count
+    assert o.wilf_holds and o.wilf_slack == s.wilf_slack
+    assert o.minimal_generators == s.generators
     # internal identities only, far beyond oracle scale
     big = family_summary(25)
     assert big.genus + big.n_count == big.frobenius + 1
@@ -431,6 +434,25 @@ def test_summary_large_parameter_exact_arithmetic():
 def test_wilf_slack_nonnegative_sweep():
     for a in range(0, 101):
         assert family_summary(a).wilf_slack >= 0
+
+
+def test_wilf_slack_closed_form_and_its_bounds():
+    # README, "Wilf's inequality for every a": 10 * slack in f_a and f_{a-2},
+    # and the bound from 2 * f_{a-2} <= f_a that makes it nonnegative
+    for a in range(3, 400):
+        fa, fa2 = fib(a), fib(a - 2)
+        assert 2 * fa2 <= fa
+        if a % 2:
+            ten_slack = (a - 1) * (3 * (a - 2) * fa - 2 * a * fa2)
+            bound = (a - 1) * (2 * a - 6)
+        else:
+            ten_slack = (a - 2) * (3 * a - 8) * fa - 2 * a * (a - 1) * fa2
+            bound = 2 * a * a - 13 * a + 16
+            assert bound == 2 * (a - 6) ** 2 + 11 * (a - 6) + 10
+        assert ten_slack == 10 * family_summary(a).wilf_slack
+        if a != 4:
+            assert ten_slack >= bound * fa and bound >= 0
+    assert family_summary(3).wilf_slack == family_summary(4).wilf_slack == 0
 
 
 def test_membership_inclusion_of_later_fibonacci():

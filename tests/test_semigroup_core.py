@@ -214,8 +214,8 @@ def test_gaps_small_case():
 
 
 def test_wilf_equality_case():
-    holds, slack = NumericalSemigroup([3, 5]).wilf_check()
-    assert holds and slack == 0
+    s = NumericalSemigroup([3, 5]).summary()
+    assert s.wilf_holds and s.wilf_slack == 0
 
 
 def test_gaps_and_identity():
@@ -230,10 +230,10 @@ def test_gaps_and_identity():
 
 def test_wilf_check_values():
     sg = NumericalSemigroup([6, 9, 20])
-    holds, slack = sg.wilf_check()
-    assert holds
-    assert slack == 3 * sg.n_count() - 44
-    assert slack >= 0
+    s = sg.summary()
+    assert s.wilf_holds
+    assert s.wilf_slack == 3 * sg.n_count() - 44
+    assert s.wilf_slack >= 0
 
 
 def test_summary_fields():
