@@ -19,6 +19,7 @@ import errno
 import os
 import sys
 import time
+from itertools import chain, islice
 
 from . import fib_family
 from .fib_family import DEFAULT_TABLE_BOUND, FamilySummary, TableTooLarge
@@ -43,6 +44,11 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+# Rows of the apery table rendered by one %-format and written by one write.
+# Larger blocks measured no faster, and at 4096 rows a JSON block nearly
+# doubles the memory of apery 22's 17,711-entry table.
+APERY_BLOCK_ROWS = 256
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
 
@@ -202,26 +208,32 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_apery(args: argparse.Namespace) -> int:
-    """Write the table one row at a time: memory is the table plus one row."""
+    """Write the table a block of rows at a time: each block is one %-format
+    and one write, so memory is the table plus one block."""
     table = fib_family.family_apery(args.a, table_bound=args.table_bound)
-    rows = ((x, beta(x), w) for x, w in enumerate(table.w))
-    out = sys.stdout
+    n = table.n  # never 0, so there is always a first block
     if args.format == "json":
         # json.dump(rows, indent=2)'s layout; every value is an int, so
-        # nothing needs escaping.  The table is never empty.
-        items = (f'  {{\n    "x": {x},\n    "beta": {b},\n    "w": {w}\n  }}'
-                 for x, b, w in rows)
-        out.write("[\n" + next(items))
-        out.writelines(",\n" + item for item in items)
-        out.write("\n]\n")
+        # nothing needs escaping.
+        head, row, sep, tail = (
+            "[\n", '  {\n    "x": %d,\n    "beta": %d,\n    "w": %d\n  }', ",\n", "\n]\n")
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("x", "beta", "w"))
-        writer.writerows(rows)
+        head, row, sep, tail = "x,beta,w\n", "%d,%d,%d\n", "", ""
     else:
-        xw = len(str(table.n - 1))
+        xw = len(str(n - 1))
         ww = len(str(max(table.w)))
-        out.writelines(f"{x:>{xw}}  {b:>2}  {w:>{ww}}\n" for x, b, w in rows)
+        head, row, sep, tail = "", f"%{xw}d  %2d  %{ww}d\n", "", ""
+    cells = chain.from_iterable(zip(range(n), map(beta, range(n)), table.w))
+    size = APERY_BLOCK_ROWS
+    block = sep.join([row] * size)
+    out = sys.stdout
+    out.write(head)
+    for start in range(0, n, size):
+        k = min(size, n - start)
+        if k < size:  # the last block is short
+            block = sep.join([row] * k)
+        out.write((sep if start else "") + block % tuple(islice(cells, 3 * k)))
+    out.write(tail)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from fibsemi import cli, fib_family
 from fibsemi.cli import (
     EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main,
 )
-from fibsemi.fibonacci import fib
+from fibsemi.fibonacci import beta, fib
 from fibsemi.semigroup_core import NumericalSemigroup
 
 
@@ -123,7 +123,7 @@ def test_apery_small_parameter(capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
 def test_apery_memory_is_the_table(monkeypatch, fmt):
-    # rows are written as they are made, so rendering adds little to the table
+    # rows are written a block at a time, so rendering adds one block to the table
     fib_family.fib(22)  # warm the Fibonacci memo: count only the table
     tracemalloc.start()
     try:
@@ -138,6 +138,44 @@ def test_apery_memory_is_the_table(monkeypatch, fmt):
     finally:
         tracemalloc.stop()
     assert cli_peak <= 2 * table_peak, (cli_peak, table_peak)
+
+
+class _CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+def _apery_stdout(monkeypatch, *argv) -> _CountingStdout:
+    out = _CountingStdout()
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", out)
+        assert main(["apery", *argv]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_apery_block_edges(monkeypatch, fmt):
+    # apery 10 has 55 rows: blocks of 1, 2, 54, 55 and 56 rows leave a short
+    # last block, none, or one block holding the whole table
+    whole = _apery_stdout(monkeypatch, "10", "--format", fmt).getvalue()
+    if fmt == "json":
+        assert json.loads(whole) == [
+            {"x": x, "beta": beta(x), "w": w}
+            for x, w in enumerate(fib_family.family_apery(10).w)
+        ]
+    for size in (1, 2, 54, 55, 56):
+        monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", size)
+        assert _apery_stdout(monkeypatch, "10", "--format", fmt).getvalue() == whole, size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_apery_writes_per_block(monkeypatch, fmt):
+    out = _apery_stdout(monkeypatch, "22", "--format", fmt)
+    blocks = -(-fib(22) // cli.APERY_BLOCK_ROWS)  # 17,711 rows
+    assert out.writes <= blocks + 2  # plus a head and a tail
 
 
 def test_apery_resource_limit_exit(capsys):
