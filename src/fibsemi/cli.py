@@ -25,7 +25,7 @@ from . import fib_family
 from .fib_family import DEFAULT_TABLE_BOUND, FamilySummary, TableTooLarge
 from .fibonacci import beta, fib
 from .semigroup_core import (
-    DEFAULT_CELL_LIMIT, NumericalSemigroup, ResourceLimit, SemigroupError,
+    DEFAULT_CELL_LIMIT, NumericalSemigroup, ResourceLimit, SemigroupError, _window_sum,
 )
 
 __all__ = [
@@ -291,6 +291,11 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool) -> _Verify
     check("frobenius-via-e-m", f == (s.embedding_dimension // 2) * m - 1)
     check("n-count-nonnegative", n >= 0)
     check("wilf-slack-nonnegative", s.wilf_slack >= 0)
+    # README's "Wilf's inequality for every a": 10 * slack from f_a and f_{a-2}
+    fa2 = fib(a - 2)
+    check("wilf-slack-form", 10 * s.wilf_slack == (
+        (a - 1) * (3 * (a - 2) * fa - 2 * a * fa2) if a % 2
+        else (a - 2) * (3 * a - 8) * fa - 2 * a * (a - 1) * fa2))
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
     if a <= fib_family.MAX_BIJECTION_INDEX:
@@ -307,11 +312,7 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool) -> _Verify
     else:
         check("apery-max-frobenius", family_bits.bit_length() - 1 - fa == f)
         # window k of the bitset holds the residues with beta = k
-        mask = (1 << fa) - 1
-        layers = -(-family_bits.bit_length() // fa)
-        check("apery-beta-sum-genus",
-              sum(k * ((family_bits >> k * fa) & mask).bit_count()
-                  for k in range(1, layers)) == g)
+        check("apery-beta-sum-genus", _window_sum(family_bits, fa) == g)
 
     try:
         oracle = NumericalSemigroup(gens, cell_limit=args.oracle_bound)

@@ -143,7 +143,7 @@ def family_genus_sum(a: int) -> int:
     """
     if a < 3:
         raise ValueError("the combinatorial sum needs index at least 3")
-    return sum(i * comb(a - 1 - i, i) for i in range(1, (a - 1) // 2 + 1))
+    return sum(i * kaplansky_count(a, i) for i in range(1, (a - 1) // 2 + 1))
 
 
 def family_genus(a: int) -> int:
@@ -190,14 +190,15 @@ def zeckendorf_block_check(k: int) -> bool:
     One pass of the greedy :func:`zeckendorf_indices` over the block, keeping
     a count per set size.  Each B(x) must be sparse, start at 2 or above, top
     out at exactly k - 1 and sum back to x, so distinct x give distinct sets.
-    Such a set of size m is k - 1 plus a sparse (m - 1)-subset of {2..k - 3},
-    and there are C(k - 2 - m, m - 1) of those: matching counts make it onto.
-    Also checks f_k = sum over j of C(k - 1 - j, j), the count of all sparse
-    subsets of {2..k - 1}, in O(k).
+    The sets of size m with top member k - 1 are the sparse m-subsets of
+    {2..k - 1} less those inside {2..k - 2}: kaplansky_count(k, m) -
+    kaplansky_count(k - 1, m) of them, C(k - 2 - m, m - 1) by Pascal's rule.
+    Matching counts make it onto.  Also checks f_k = sum over j of
+    kaplansky_count(k, j), the count of all sparse subsets of {2..k - 1}, in O(k).
     """
     if not 3 <= k <= MAX_BIJECTION_INDEX:
         raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
-    if fib(k) != sum(comb(k - 1 - j, j) for j in range((k - 1) // 2 + 1)):
+    if fib(k) != sum(kaplansky_count(k, j) for j in range((k - 1) // 2 + 1)):
         return False
     fibs = [fib(i) for i in range(k)]
     top = (k - 1) // 2  # a sparse subset of {2..k - 1} has at most top members
@@ -215,7 +216,8 @@ def zeckendorf_block_check(k: int) -> bool:
         if total != x or prev != k - 1:
             return False
         per_size[len(key)] += 1
-    return per_size == [0] + [comb(k - 2 - m, m - 1) for m in range(1, top + 1)]
+    return per_size == [kaplansky_count(k, m) - kaplansky_count(k - 1, m)
+                        for m in range(top + 1)]
 
 
 def zeckendorf_bijection_check(a: int) -> bool:

@@ -220,11 +220,25 @@ class NumericalSemigroup:
         Every minimal generator is one of the input generators.  An input
         generator g is a sum of two nonzero elements exactly when g - h is an
         element for some smaller input generator h: a nonzero summand s < g
-        is h plus an element for some input generator h <= s.
+        is h plus an element for some input generator h <= s.  So bit s of
+        the sumset OR_h (nonzero << h) is set iff s is such a sum.
+
+        Only sums up to top = min(largest generator, F + m) are read: a
+        generator above F + m, other than m, is m plus a nonzero element.  Their
+        summands are the nonzero elements up to top - m, read off R at once.
         """
         gens = self.generators
-        return tuple(g for i, g in enumerate(gens)
-                     if not any(self.contains(g - h) for h in gens[:i]))
+        m = self.multiplicity
+        f, table = self._reachability()
+        top = max(m, min(gens[-1], f + m))  # top = m only for S = N
+        nonzero = (int.from_bytes(table[:(top - m) // 8 + 1], "little")
+                   & ((1 << (top - m + 1)) - 2))
+        sums = 0
+        for h in gens:
+            if h > top:
+                break
+            sums |= nonzero << h
+        return tuple(g for g in gens if g == m or (g <= top and not sums >> g & 1))
 
     def embedding_dimension(self) -> int:
         return len(self.minimal_generators())

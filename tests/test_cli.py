@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from math import comb
 from unittest import mock
 
 import pytest
@@ -426,6 +427,33 @@ def test_verify_catches_w0_moved_up_by_f_a(capsys, monkeypatch):
                                 "mismatch: oracle-apery-table"] * 8
 
 
+def test_verify_checks_the_wilf_slack_form(capsys, monkeypatch):
+    real = fib_family.family_summary
+    monkeypatch.setattr(fib_family, "family_summary",
+                        lambda a: real(a)._replace(wilf_slack=real(a).wilf_slack + 1))
+    # still nonnegative, and the oracle's slack is not compared: only the form fails
+    code, out, _ = run(capsys, "verify", "10")
+    assert code == EXIT_MISMATCH
+    assert _mismatches(out) == ["mismatch: wilf-slack-form"] * 8
+
+
+def test_verify_catches_a_shifted_kaplansky_count(capsys, monkeypatch):
+    def shifted(n: int, m: int) -> int:  # comb(n - 1 - m, m) -> comb(n - m, m)
+        if n < 2 or m < 0:
+            raise ValueError("guards kept")
+        if m == 0:
+            return 1
+        if 2 * m > n - 1:
+            return 0
+        return comb(n - m, m)
+
+    monkeypatch.setattr(fib_family, "kaplansky_count", shifted)
+    code, out, _ = run(capsys, "verify", "10")
+    assert code == EXIT_MISMATCH
+    assert {"mismatch: genus-binomial-sum", "mismatch: zeckendorf-bijection"} <= set(
+        _mismatches(out))
+
+
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     real = fib_family.family_frobenius
     monkeypatch.setattr(fib_family, "family_frobenius", lambda a: real(a) + 1)
@@ -516,8 +544,8 @@ def test_semigroup_refused_before_any_apery_table(capsys, monkeypatch):
 
 
 def test_semigroup_makes_one_oracle_pass(capsys, monkeypatch):
-    # every generator is minimal, so each pass over them costs up to
-    # k(k - 1)/2 membership tests for k generators
+    # every generator is minimal, so a second pass would redo the whole
+    # sumset over R for nothing
     calls = {"summary": 0, "minimal_generators": 0}
     for name in calls:
         real = getattr(NumericalSemigroup, name)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibsemi.fib_family import family_generators
 from fibsemi.semigroup_core import (
     AperyTable,
     EmptyGenerators,
@@ -204,6 +205,18 @@ def test_minimal_generators_drops_redundant():
     assert far.minimal_generators() == (4, 6, 9)
 
 
+def test_minimal_generators_make_no_membership_call(monkeypatch):
+    wide = NumericalSemigroup(range(1000, 2000))
+    family = NumericalSemigroup(family_generators(12))
+
+    def refuse(self, x):
+        raise AssertionError(f"contains({x}) called")
+
+    monkeypatch.setattr(NumericalSemigroup, "contains", refuse)
+    assert wide.minimal_generators() == tuple(range(1000, 2000))
+    assert family.minimal_generators() == family_generators(12)
+
+
 def test_minimal_generators_with_unit():
     assert NumericalSemigroup([1, 5]).minimal_generators() == (1,)
 
@@ -310,6 +323,7 @@ def test_invariant_identities_random(gens):
     assert g + n == f + 1
     assert f == -1 or not sg.contains(f)
     assert all(sg.contains(x) for x in range(f + 1, f + 50))
+    assert sg.gaps() == [x for x in range(1, f + 1) if not sg.contains(x)]
     # Apery cardinality and the membership criterion x in S iff x >= w(x mod n)
     m = sg.multiplicity
     table = sg.apery(m)
