@@ -11,9 +11,10 @@ to a lighter x - f_a is one recursive carry on a single coefficient list.
 
 beta reads an append-only byte memo, byte x holding beta(x), grown by the
 Fibonacci split [0, f_{k+1}) = [0, f_k) ++ (f_k + [0, f_{k-1})), on whose
-second block beta is one higher.  The memo stops at f_30 (832,040 bytes, enough
-for every table the default bound allows); past it beta is the greedy walk's
-length.  fib_family.family_apery_bitset runs the same split on int bitsets.
+second block beta is one higher.  Only asking for the cell just past its end
+grows it, so the memo stays within one step of the largest x asked for in
+order; every other miss is the greedy walk's length.
+fib_family.family_apery_bitset runs the same split on int bitsets.
 """
 from __future__ import annotations
 
@@ -34,10 +35,8 @@ _FIBS = [0, 1]
 
 # Append-only memo: _BETAS[x] == beta(x) for x < f_k, starting at k = 3; one
 # growth step to f_{k+1} appends _BETAS[:f_{k-1}] with every byte plus one.
+# beta(x) <= k/2 for x < f_k, and no memo reaches f_512, so a byte holds it.
 _BETAS = bytearray(b"\x00\x01")
-# The memo stops at f_30 = 832,040, the largest Fibonacci number within
-# fib_family.DEFAULT_TABLE_BOUND; beta < 15 below it, so a byte holds it.
-_BETA_MEMO_INDEX = 30
 _PLUS_ONE = bytes(range(1, 256)) + b"\x00"
 
 
@@ -75,20 +74,18 @@ def gamma(x: int) -> int:
 def beta(x: int) -> int:
     """Minimum of sum(b_i) over all representations x = sum(b_i * fib(i)), i >= 2.
 
-    Equals the Zeckendorf summand count.  Below f_30 it is one index into
-    the memo, which a miss grows split step by split step up to x; from f_30
-    on it is len(zeckendorf_indices(x)), and the memo does not grow.
+    Equals the Zeckendorf summand count.  Inside the memo it is one index;
+    the cell just past the memo's end grows it by one split step; any other
+    x is len(zeckendorf_indices(x)), and the memo does not grow.
     """
     if 0 <= x < len(_BETAS):
         return _BETAS[x]
     if x < 0:
         raise ValueError("beta is defined on nonnegative integers")
-    if x >= fib(_BETA_MEMO_INDEX):
+    if x > len(_BETAS):
         return len(zeckendorf_indices(x))
-    k = gamma(len(_BETAS))  # the memo covers [0, f_k)
-    while len(_BETAS) <= x:
-        _BETAS.extend(_BETAS[:_FIBS[k - 1]].translate(_PLUS_ONE))
-        k += 1
+    k = gamma(x)  # the memo covers [0, f_k)
+    _BETAS.extend(_BETAS[:_FIBS[k - 1]].translate(_PLUS_ONE))
     return _BETAS[x]
 
 

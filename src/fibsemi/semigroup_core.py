@@ -136,15 +136,16 @@ class NumericalSemigroup:
             m = cells = self.multiplicity
             while True:
                 cells = min(cells, self.cell_limit)
-                mask = (1 << cells) - 1
-                reach = 1
-                for g in self.generators:
-                    step = g
-                    while step < cells:
-                        reach |= (reach << step) & mask
-                        step <<= 1
-                if cells >= m and reach >> (cells - m) == (1 << m) - 1:
-                    break
+                if cells >= m:  # fewer cells cannot hold a run of m elements
+                    mask = (1 << cells) - 1
+                    reach = 1
+                    for g in self.generators:
+                        step = g
+                        while step < cells:
+                            reach |= (reach << step) & mask
+                            step <<= 1
+                    if reach >> (cells - m) == (1 << m) - 1:
+                        break
                 if cells == self.cell_limit:
                     raise ResourceLimit(
                         f"membership table: no run of {m} consecutive elements "

@@ -174,20 +174,43 @@ def test_beta_memo_equals_the_walk_below_f26():
         assert beta(x) == len(zeckendorf_indices(x))
 
 
+@cache
+def _memo_grown_to_f30() -> None:
+    # only a caller asking in order grows the memo; without this each x
+    # would walk, and the test would compare the walk with itself
+    for x in range(fib(30)):
+        beta(x)
+
+
 @given(st.integers(min_value=0, max_value=fib(30) - 1))
+@settings(deadline=None)
 def test_beta_memo_equals_the_walk_below_f30(x):
+    _memo_grown_to_f30()
     assert beta(x) == len(zeckendorf_indices(x))
 
 
 def test_beta_equals_the_walk_around_every_fib_across_the_cap():
+    # each x is a memo hit, a growth step or a walk, depending on how far
+    # earlier tests grew the memo
     for k in range(3, 32):
         for x in (fib(k) - 1, fib(k), fib(k) + 1):
             assert beta(x) == len(zeckendorf_indices(x)), x
 
 
-def test_beta_memo_covers_every_default_table():
-    cap = fibonacci._BETA_MEMO_INDEX
-    assert fib(cap) <= DEFAULT_TABLE_BOUND < fib(cap + 1)
+def test_beta_memo_covers_every_default_table(monkeypatch):
+    # asked in order, beta never walks: range(f_31) holds every table the
+    # default bound admits and the first one past it
+    assert DEFAULT_TABLE_BOUND < fib(31)
+
+    def walk(x):
+        raise AssertionError(f"beta({x}) walked B(x)")
+
+    monkeypatch.setattr(fibonacci, "zeckendorf_indices", walk)
+    for x in range(fib(31)):
+        beta(x)
+    monkeypatch.undo()
+    for x in (fib(30) - 1, fib(30), fib(31) - 1):
+        assert beta(x) == len(zeckendorf_indices(x)), x
 
 
 @cache
@@ -198,7 +221,7 @@ def _apery_bitset_past_the_cap() -> int:
 @given(st.lists(st.integers(min_value=0, max_value=fib(32) - 1), min_size=1, max_size=20))
 @settings(max_examples=50, deadline=None)
 def test_apery_bitset_holds_the_walk_across_the_cap(xs):
-    # past f_30, beta is the greedy walk, so the int split meets it there
+    # beta's memo hits, growth steps and walks all meet the int split
     bits, fa = _apery_bitset_past_the_cap(), fib(32)
     assert bits.bit_count() == fa
     for x in xs + [fib(30) - 1, fib(30), fib(31), fa - 1]:
@@ -207,20 +230,23 @@ def test_apery_bitset_holds_the_walk_across_the_cap(xs):
 
 def test_beta_memo_grows_only_as_far_as_asked():
     # a fresh interpreter, so earlier tests have not grown the memo already;
-    # x at or above the f_30 cap takes the walk and leaves the memo alone, and
-    # the family bitset splits ints without reading the memo at all
+    # asking in order grows it, any x past the cell just after its end takes
+    # the walk and leaves it alone, and the family bitset splits ints without
+    # reading the memo at all
     script = (
         "from fibsemi import fibonacci as z\n"
-        "z.beta(z.fib(20) - 1); print(len(z._BETAS))\n"
+        "for x in range(z.fib(20)): z.beta(x)\n"
+        "print(len(z._BETAS))\n"
         "z.beta(z.fib(30) + 1); print(len(z._BETAS))\n"
         "z.beta(z.fib(30) - 1); print(len(z._BETAS))\n"
         "z.beta(10**40); print(len(z._BETAS))\n"
         "from fibsemi.fib_family import family_apery_bitset\n"
         "family_apery_bitset(32, table_bound=z.fib(32)); print(len(z._BETAS))\n"
+        "z.beta(z.fib(20)); print(len(z._BETAS))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
-    expected = (fib(20), fib(20), fib(30), fib(30), fib(30))
+    expected = (fib(20), fib(20), fib(20), fib(20), fib(20), fib(21))
     assert proc.stdout.split() == [str(n) for n in expected]
 
 

@@ -71,6 +71,10 @@ def test_membership_table_budget():
                 starved.minimal_generators):
         with pytest.raises(ResourceLimit):
             ask()
+    # a budget below m, even a negative one, cannot hold a run of m elements
+    for limit in (0, -1):
+        with pytest.raises(ResourceLimit, match="no run of 3 consecutive"):
+            NumericalSemigroup([3, 5], cell_limit=limit).frobenius()
     # F + m + 1 = 11 cells: the last try, at exactly the budget, fits
     assert NumericalSemigroup([3, 5], cell_limit=11).gaps() == [1, 2, 4, 7]
 
