@@ -11,9 +11,7 @@ to a lighter x - f_a is one recursive carry on a single coefficient list.
 
 beta reads an append-only byte memo, byte x holding beta(x), grown by the
 Fibonacci split [0, f_{k+1}) = [0, f_k) ++ (f_k + [0, f_{k-1})), on whose
-second block beta is one higher.  Only asking for the cell just past its end
-grows it, so the memo stays within one step of the largest x asked for in
-order; every other miss is the greedy walk's length.
+second block beta is one higher, only by calls asking 0, 1, 2, ... in order;
 fib_family.family_apery_bitset runs the same split on int bitsets.
 """
 from __future__ import annotations
@@ -38,6 +36,7 @@ _FIBS = [0, 1]
 # beta(x) <= k/2 for x < f_k, and no memo reaches f_512, so a byte holds it.
 _BETAS = bytearray(b"\x00\x01")
 _PLUS_ONE = bytes(range(1, 256)) + b"\x00"
+_RUN = 0  # x + 1 while the latest calls to beta asked 0, 1, ..., x in order
 
 
 def _grow_to_index(n: int) -> None:
@@ -74,19 +73,22 @@ def gamma(x: int) -> int:
 def beta(x: int) -> int:
     """Minimum of sum(b_i) over all representations x = sum(b_i * fib(i)), i >= 2.
 
-    Equals the Zeckendorf summand count.  Inside the memo it is one index;
-    the cell just past the memo's end grows it by one split step; any other
-    x is len(zeckendorf_indices(x)), and the memo does not grow.
+    Equals the Zeckendorf summand count: one index into the memo, which
+    calls asking 0, 1, 2, ... in order grow one split step at a time as they
+    pass its end; any other x past the memo is len(zeckendorf_indices(x)).
     """
-    if 0 <= x < len(_BETAS):
-        return _BETAS[x]
+    global _RUN
+    if x == _RUN or not x:  # the latest calls asked 0, 1, ..., x - 1
+        _RUN = x + 1
+        try:
+            return _BETAS[x]
+        except IndexError:  # x == len(_BETAS) == f_k
+            _BETAS.extend(_BETAS[:_FIBS[gamma(x) - 1]].translate(_PLUS_ONE))
+            return _BETAS[x]
+    _RUN = 0
     if x < 0:
         raise ValueError("beta is defined on nonnegative integers")
-    if x > len(_BETAS):
-        return len(zeckendorf_indices(x))
-    k = gamma(x)  # the memo covers [0, f_k)
-    _BETAS.extend(_BETAS[:_FIBS[k - 1]].translate(_PLUS_ONE))
-    return _BETAS[x]
+    return _BETAS[x] if x < len(_BETAS) else len(zeckendorf_indices(x))
 
 
 def zeckendorf_indices(x: int) -> tuple[int, ...]:

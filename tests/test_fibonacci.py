@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibsemi import fibonacci
 from fibsemi.fib_family import DEFAULT_TABLE_BOUND, family_apery_bitset
 from fibsemi.fibonacci import (
     CoefficientVector,
@@ -190,27 +189,33 @@ def test_beta_memo_equals_the_walk_below_f30(x):
 
 
 def test_beta_equals_the_walk_around_every_fib_across_the_cap():
-    # each x is a memo hit, a growth step or a walk, depending on how far
-    # earlier tests grew the memo
+    # each x is a memo hit or a walk, depending on how far earlier tests grew
+    # the memo; asking around each f_k is not a run from 0, so none grows it
     for k in range(3, 32):
         for x in (fib(k) - 1, fib(k), fib(k) + 1):
             assert beta(x) == len(zeckendorf_indices(x)), x
 
 
-def test_beta_memo_covers_every_default_table(monkeypatch):
+def test_beta_memo_covers_every_default_table():
     # asked in order, beta never walks: range(f_31) holds every table the
-    # default bound admits and the first one past it
+    # default bound admits and the first one past it; a fresh interpreter, so
+    # the memo grows from its first two cells rather than from what earlier
+    # tests left in it
     assert DEFAULT_TABLE_BOUND < fib(31)
-
-    def walk(x):
-        raise AssertionError(f"beta({x}) walked B(x)")
-
-    monkeypatch.setattr(fibonacci, "zeckendorf_indices", walk)
-    for x in range(fib(31)):
-        beta(x)
-    monkeypatch.undo()
-    for x in (fib(30) - 1, fib(30), fib(31) - 1):
-        assert beta(x) == len(zeckendorf_indices(x)), x
+    script = (
+        "from fibsemi import fibonacci as z\n"
+        "walk = z.zeckendorf_indices\n"
+        "def refuse(x): raise AssertionError(f'beta({x}) walked B(x)')\n"
+        "z.zeckendorf_indices = refuse\n"
+        "for x in range(z.fib(31)): z.beta(x)\n"
+        "z.zeckendorf_indices = walk\n"
+        "print(len(z._BETAS))\n"
+        "for x in (z.fib(30) - 1, z.fib(30), z.fib(31) - 1):\n"
+        "    print(z.beta(x) == len(walk(x)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == [str(fib(31)), "True", "True", "True"]
 
 
 @cache
@@ -221,7 +226,7 @@ def _apery_bitset_past_the_cap() -> int:
 @given(st.lists(st.integers(min_value=0, max_value=fib(32) - 1), min_size=1, max_size=20))
 @settings(max_examples=50, deadline=None)
 def test_apery_bitset_holds_the_walk_across_the_cap(xs):
-    # beta's memo hits, growth steps and walks all meet the int split
+    # beta's memo hits and walks both meet the int split
     bits, fa = _apery_bitset_past_the_cap(), fib(32)
     assert bits.bit_count() == fa
     for x in xs + [fib(30) - 1, fib(30), fib(31), fa - 1]:
@@ -230,23 +235,31 @@ def test_apery_bitset_holds_the_walk_across_the_cap(xs):
 
 def test_beta_memo_grows_only_as_far_as_asked():
     # a fresh interpreter, so earlier tests have not grown the memo already;
-    # asking in order grows it, any x past the cell just after its end takes
-    # the walk and leaves it alone, and the family bitset splits ints without
-    # reading the memo at all
+    # only calls asking 0, 1, 2, ... in order grow it, so asking at or around
+    # every Fibonacci number up to f_60, or for the cell past its end right
+    # after its last cell, walks and leaves it alone; the family bitset splits
+    # ints without reading the memo at all
     script = (
         "from fibsemi import fibonacci as z\n"
+        "from fibsemi.fib_family import family_apery_bitset, family_apery_value\n"
+        "for a in range(3, 60): z.beta(z.fib(a))\n"
+        "print(len(z._BETAS))\n"
+        "for a in range(3, 60): z.beta(z.fib(a) - 1); z.beta(z.fib(a)); z.beta(z.fib(a) + 1)\n"
+        "for k in range(3, 60): family_apery_value(60, z.fib(k))\n"
+        "print(len(z._BETAS))\n"
         "for x in range(z.fib(20)): z.beta(x)\n"
         "print(len(z._BETAS))\n"
         "z.beta(z.fib(30) + 1); print(len(z._BETAS))\n"
         "z.beta(z.fib(30) - 1); print(len(z._BETAS))\n"
         "z.beta(10**40); print(len(z._BETAS))\n"
-        "from fibsemi.fib_family import family_apery_bitset\n"
         "family_apery_bitset(32, table_bound=z.fib(32)); print(len(z._BETAS))\n"
-        "z.beta(z.fib(20)); print(len(z._BETAS))\n"
+        "z.beta(z.fib(20) - 1); z.beta(z.fib(20)); print(len(z._BETAS))\n"
+        "for x in range(z.fib(20) + 1): z.beta(x)\n"
+        "print(len(z._BETAS))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
-    expected = (fib(20), fib(20), fib(20), fib(20), fib(20), fib(21))
+    expected = (2, 2, *[fib(20)] * 6, fib(21))
     assert proc.stdout.split() == [str(n) for n in expected]
 
 

@@ -45,13 +45,14 @@ def test_output_matches_snapshot(capsys, argv, snapshot):
 
 
 def _digests() -> list[tuple[str, str]]:
-    lines = (GOLDEN / "apery_22.sha256").read_text().splitlines()
+    lines = (GOLDEN / "apery.sha256").read_text().splitlines()
     return [tuple(line.split("  ", 1)) for line in lines]
 
 
 @pytest.mark.parametrize("digest, argv", _digests())
 def test_output_matches_digest(capsys, digest, argv):
-    # apery 22 has 17,711 rows: its memo grows through 19 split steps
+    # apery 22 has 17,711 rows and apery 31 1,346,269: beta's memo grows
+    # through 19 and 28 split steps
     assert main(argv.split()) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
