@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from itertools import chain, islice
+from operator import attrgetter
 
 from . import fib_family
 from .fib_family import DEFAULT_TABLE_BOUND, FamilySummary, TableTooLarge
@@ -51,6 +52,9 @@ EXIT_INTERNAL = 4
 APERY_BLOCK_ROWS = 256
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
+# a FamilySummary's values in TABLE_FIELDS order
+_table_values = attrgetter("a", "multiplicity", "embedding_dimension", "frobenius",
+                           "genus", "n_count", "wilf_slack")
 
 
 class InvalidRange(SemigroupError):
@@ -146,15 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
 # -- shared rendering ------------------------------------------------------
 
 def _record(s: FamilySummary) -> dict[str, int]:
-    return {
-        "a": s.a,
-        "m": s.multiplicity,
-        "e": s.embedding_dimension,
-        "frobenius": s.frobenius,
-        "genus": s.genus,
-        "n": s.n_count,
-        "wilf_slack": s.wilf_slack,
-    }
+    return dict(zip(TABLE_FIELDS, _table_values(s)))
+
+
+def _int_rows(fmt: str, fields: tuple[str, ...]) -> tuple[str, str, str, str]:
+    """(head, row, sep, tail) of a list of rows of integers in CSV or JSON:
+    ``row`` is a %-template over one row's values, and ``sep`` goes between
+    rows.  JSON is json.dump(rows, indent=2)'s layout for a nonempty list;
+    every value is an int, so nothing needs escaping."""
+    if fmt == "json":
+        row = "  {\n" + ",\n".join(f'    "{k}": %d' for k in fields) + "\n  }"
+        return "[\n", row, ",\n", "\n]\n"
+    return ",".join(fields) + "\n", ",".join(["%d"] * len(fields)) + "\n", "", ""
 
 
 def _write_csv(fields: tuple[str, ...], rows: list[dict]) -> None:
@@ -212,17 +219,12 @@ def cmd_apery(args: argparse.Namespace) -> int:
     and one write, so memory is the table plus one block."""
     table = fib_family.family_apery(args.a, table_bound=args.table_bound)
     n = table.n  # never 0, so there is always a first block
-    if args.format == "json":
-        # json.dump(rows, indent=2)'s layout; every value is an int, so
-        # nothing needs escaping.
-        head, row, sep, tail = (
-            "[\n", '  {\n    "x": %d,\n    "beta": %d,\n    "w": %d\n  }', ",\n", "\n]\n")
-    elif args.format == "csv":
-        head, row, sep, tail = "x,beta,w\n", "%d,%d,%d\n", "", ""
-    else:
+    if args.format == "text":
         xw = len(str(n - 1))
         ww = len(str(max(table.w)))
         head, row, sep, tail = "", f"%{xw}d  %2d  %{ww}d\n", "", ""
+    else:
+        head, row, sep, tail = _int_rows(args.format, ("x", "beta", "w"))
     cells = chain.from_iterable(zip(range(n), map(beta, range(n)), table.w))
     size = APERY_BLOCK_ROWS
     block = sep.join([row] * size)
@@ -238,21 +240,32 @@ def cmd_apery(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    """Compute, render and write one row at a time, so memory is the
+    Fibonacci memo plus one row.  Text sizes its columns in a first pass that
+    keeps only each column's least and greatest value: len(str(v)) grows
+    with |v| on either side of 0, so one of the two is a widest cell."""
     if args.a_min > args.a_max:
         raise InvalidRange(f"a_min {args.a_min} exceeds a_max {args.a_max}")
-    rows = [_record(fib_family.family_summary(a))
-            for a in range(args.a_min, args.a_max + 1)]
-    if args.format == "json":
-        _write_json(rows)
-    elif args.format == "csv":
-        _write_csv(TABLE_FIELDS, rows)
+    indices = range(args.a_min, args.a_max + 1)
+    if args.format == "text":
+        values = map(_table_values, map(fib_family.family_summary, indices))
+        low = high = next(values)
+        for v in values:  # lists: tuple(map(...)) strands a 7-tuple on a freelist
+            low, high = [*map(min, low, v)], [*map(max, high, v)]
+        widths = [max(len(k), len(str(lo)), len(str(hi)))
+                  for k, lo, hi in zip(TABLE_FIELDS, low, high)]
+        head = "  ".join(map(str.rjust, TABLE_FIELDS, widths)) + "\n"
+        row = "  ".join(f"%{w}d" for w in widths) + "\n"
+        sep = tail = ""
     else:
-        widths = {
-            k: max(len(k), max(len(str(r[k])) for r in rows)) for k in TABLE_FIELDS
-        }
-        print("  ".join(k.rjust(widths[k]) for k in TABLE_FIELDS))
-        for r in rows:
-            print("  ".join(str(r[k]).rjust(widths[k]) for k in TABLE_FIELDS))
+        head, row, sep, tail = _int_rows(args.format, TABLE_FIELDS)
+    out = sys.stdout
+    out.write(head)
+    lead = ""
+    for s in map(fib_family.family_summary, indices):
+        out.write(lead + row % _table_values(s))
+        lead = sep
+    out.write(tail)
     return EXIT_OK
 
 

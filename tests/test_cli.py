@@ -254,6 +254,51 @@ def test_table_csv_json_value_parity(capsys):
         assert {k: int(v) for k, v in c.items()} == j
 
 
+def _table_peak(*argv) -> int:
+    """tracemalloc's peak over one ``table`` run written to the null device."""
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+            assert main(["table", *argv]) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_table_memory_is_one_row(fmt):
+    # rows are written as they are computed, so 3,001 rows cost what 11 do
+    fib(3000)  # warm the Fibonacci memo: count only the rows
+    _table_peak("0", "0")  # and what argparse imports on first use
+    whole = _table_peak("0", "3000", "--format", fmt)
+    last = _table_peak("2990", "3000", "--format", fmt)
+    assert whole <= 2 * last, (whole, last)
+
+
+class _PipeClosedAfterOneWrite(io.StringIO):
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_stops_computing_at_a_closed_pipe(capsys, monkeypatch, fmt):
+    # each row is written before the next is computed
+    asked = []
+    summary = fib_family.family_summary
+    monkeypatch.setattr(fib_family, "family_summary", lambda a: asked.append(a) or summary(a))
+    monkeypatch.setattr(sys, "stdout", _PipeClosedAfterOneWrite())
+    code = main(["table", "0", "5000", "--format", fmt])
+    monkeypatch.undo()
+    assert code == EXIT_RESOURCE
+    assert len(asked) <= 2, len(asked)
+    assert capsys.readouterr().err == "fibsemi: cannot write output: [Errno 32] Broken pipe\n"
+
+
 # -- verify -----------------------------------------------------------------------
 
 def test_verify_sweep_passes(capsys):
