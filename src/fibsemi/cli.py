@@ -14,7 +14,6 @@ reported as one stderr line rather than a traceback).
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import os
 import sys
@@ -165,6 +164,8 @@ def _int_rows(fmt: str, fields: tuple[str, ...]) -> tuple[str, str, str, str]:
 
 
 def _write_csv(fields: tuple[str, ...], rows: list[dict]) -> None:
+    import csv  # only CSV records pay for the import
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:

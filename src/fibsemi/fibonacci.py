@@ -98,17 +98,30 @@ def zeckendorf_indices(x: int) -> tuple[int, ...]:
     yields the unique representation with non-consecutive indices >= 2 (each
     step drops the top index by at least 2, which is exactly the
     non-consecutive condition).  B(0) is the empty tuple.
+
+    One bisect finds the top index gamma(x); the rest is one descent of
+    O(gamma(x)) comparisons down the memo.  After taking fib(i) the remainder
+    is below fib(i + 1) - fib(i) = fib(i - 1), so the next index is at most
+    i - 2 and stepping down while fib(i) > remainder finds it: no second
+    bisect.  Stepping down from above reaches index 2 before index 1, so the
+    index-2 convention holds.
     """
     if x < 0:
         raise ValueError("cannot decompose a negative integer")
-    _grow_past_value(x)
+    fibs = _FIBS
+    if x >= fibs[-1]:
+        _grow_past_value(x)
     rev: list[int] = []
     r = x
+    i = bisect_right(fibs, r) - 1  # gamma(x): the only bisect
     while r:
-        i = bisect_right(_FIBS, r) - 1
+        while fibs[i] > r:
+            i -= 1
         rev.append(i)
-        r -= _FIBS[i]
-    return tuple(reversed(rev))
+        r -= fibs[i]
+        i -= 2  # r < fib(i - 1) now
+    rev.reverse()
+    return tuple(rev)
 
 
 class CoefficientVector(namedtuple("CoefficientVector", "a coeffs")):
