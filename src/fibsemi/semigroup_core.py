@@ -1,12 +1,13 @@
 """Generic numerical-semigroup oracle, computed from first principles.
 
 No family shortcuts live here.  Membership is a reachability bitset R over
-the generators, and the Apery set of a pivot n is the bitset R & ~(R << n),
-{s in S : s - n not in S}.  Every other invariant (Frobenius number, genus,
-minimal generators, gap list, Wilf slack) derives from R: F is R's highest
-clear cell, and the genus is read off the Apery bitset at the multiplicity,
-with no per-residue table.  The test suite plays it against an independent
-route: Nijenhuis's shortest paths on the residue graph.
+the generators, kept as the one int it is built as; the Apery set of a pivot
+n is R & ~(R << n), {s in S : s - n not in S}.  Every other invariant derives
+from R: F is its highest clear cell, membership shifts it, n(S) and the
+minimal generators mask it, the gap list copies it to bytes once, and the
+genus is read off the Apery bitset at the multiplicity.  The test suite plays
+it against an independent route: Nijenhuis's shortest paths on the residue
+graph.
 """
 from __future__ import annotations
 
@@ -118,19 +119,19 @@ class NumericalSemigroup:
         self.generators: tuple[int, ...] = tuple(gens)
         self.multiplicity: int = gens[0]
         self.cell_limit = cell_limit
-        self._reach: tuple[int, bytes] | None = None
+        self._reach: tuple[int, int] | None = None
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup{self.generators!r}"
 
     # -- membership -------------------------------------------------------
 
-    def _reachability(self) -> tuple[int, bytes]:
-        """(F, table): bit x of the little-endian ``table`` is set iff x <= F is
-        an element.  A big-int bitset is closed under each generator g by
-        shifts of g, 2g, 4g, ...; its length doubles (the last try at exactly
-        ``cell_limit``) until its top m cells are elements, past which every
-        integer is one, so F is its highest clear cell.
+    def _reachability(self) -> tuple[int, int]:
+        """(F, R): bit x of the int R is set iff x is an element, for x in its
+        cells.  R is closed under each generator g by shifts of g, 2g, 4g, ...;
+        its length doubles (the last try at exactly ``cell_limit``) until its
+        top m cells are elements, past which every integer is one, so F is its
+        highest clear cell and R has at least F + m + 1 cells.
         """
         if self._reach is None:
             m = cells = self.multiplicity
@@ -153,15 +154,15 @@ class NumericalSemigroup:
                     )
                 cells *= 2
             f = (reach ^ mask).bit_length() - 1
-            self._reach = (f, reach.to_bytes((cells + 7) // 8, "little"))
+            self._reach = (f, reach)
         return self._reach
 
     def contains(self, x: int) -> bool:
-        """Membership decided by generator reachability (no Apery involvement)."""
+        """Membership: every x > F, else bit x of R (no Apery involvement)."""
         if x < 0:
             return False
-        f, table = self._reachability()
-        return x > f or bool(table[x >> 3] >> (x & 7) & 1)
+        f, reach = self._reachability()
+        return x > f or bool(reach >> x & 1)
 
     # -- Apery sets and the invariants built on them -----------------------
 
@@ -177,15 +178,14 @@ class NumericalSemigroup:
             raise PivotZero("Apery pivot must be a positive integer")
         if not self.contains(n):
             raise PivotNotInSemigroup(f"{n} is not an element of the semigroup")
-        f, table = self._reachability()
+        f, reach = self._reachability()
         cells = f + n + 1
         if cells > self.cell_limit:
             raise ResourceLimit(
                 f"Apery table of pivot {n} needs {cells} cells (F + n + 1), "
                 f"over the {self.cell_limit}-cell budget"
             )
-        reach = (int.from_bytes(table, "little") & ((1 << (f + 1)) - 1)
-                 | ((1 << n) - 1) << (f + 1))
+        reach = reach & ((1 << (f + 1)) - 1) | ((1 << n) - 1) << (f + 1)
         return reach & ~(reach << n)
 
     def apery(self, n: int) -> AperyTable:
@@ -230,10 +230,9 @@ class NumericalSemigroup:
         """
         gens = self.generators
         m = self.multiplicity
-        f, table = self._reachability()
+        f, reach = self._reachability()
         top = max(m, min(gens[-1], f + m))  # top = m only for S = N
-        nonzero = (int.from_bytes(table[:(top - m) // 8 + 1], "little")
-                   & ((1 << (top - m + 1)) - 2))
+        nonzero = reach & ((1 << (top - m + 1)) - 2)
         sums = 0
         for h in gens:
             if h > top:
@@ -246,14 +245,14 @@ class NumericalSemigroup:
 
     def n_count(self) -> int:
         """Number of elements strictly below the Frobenius number."""
-        f, table = self._reachability()
-        if f <= 0:
-            return 0
-        return (int.from_bytes(table, "little") & ((1 << f) - 1)).bit_count()
+        f, reach = self._reachability()
+        return (reach & ((1 << max(f, 0)) - 1)).bit_count()  # F = -1 for S = N
 
     def gaps(self) -> list[int]:
         """All nonmembers in increasing order; the length equals the genus."""
-        f, table = self._reachability()
+        f, reach = self._reachability()
+        # a byte index is O(1) per cell, where R >> x copies all of R above x
+        table = reach.to_bytes(reach.bit_length() // 8 + 1, "little")
         return [x for x in range(1, f + 1) if not table[x >> 3] >> (x & 7) & 1]
 
     def summary(self) -> SemigroupSummary:

@@ -315,6 +315,12 @@ def test_apery_bitset_equals_dijkstra(gens):
     # F from R's highest clear cell, g from the bitset's windows: against the same table
     assert sg.frobenius() == f
     assert sg.genus() == sum((wi - i) // m for i, wi in enumerate(w))
+    # membership, the gap list and n(S), each read off R in its own way, against
+    # the same table: x in S iff x >= w(x mod m), on both sides of F + m
+    members = [x >= w[x % m] for x in range(f + 2 * m)]
+    assert [sg.contains(x) for x in range(f + 2 * m)] == members
+    assert sg.gaps() == [x for x in range(1, f + 1) if not members[x]]
+    assert sg.n_count() == sum(members[:max(f, 0)])
 
 
 @given(coprime_generators())
