@@ -50,6 +50,13 @@ EXIT_INTERNAL = 4
 # doubles the memory of apery 22's 17,711-entry table.
 APERY_BLOCK_ROWS = 256
 
+# Fewest residues in the forked child's share of verify's Zeckendorf walk for
+# the fork to pay: f_18, the share at verify 19.  In process, fork against no
+# fork, 30 alternating fresh runs each (2 CPUs, CPython 3.11.7): verify 18,
+# a share of 1,596, ran 7.19 against 6.87 ms and was faster in 9/30; verify 19
+# ran 11.03 against 11.34 ms, faster in 26/30; verify 17 lost 29/30 by 1 ms.
+FORK_MIN_RESIDUES = 2_584
+
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
 # a FamilySummary's values in TABLE_FIELDS order
 _table_values = attrgetter("a", "multiplicity", "embedding_dimension", "frobenius",
@@ -280,14 +287,16 @@ class _VerifyOutcome:
         self.blocks: bool | None = None  # Zeckendorf blocks 3..a all checked out
 
 
-def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool) -> _VerifyOutcome:
+def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool,
+                block_check=None) -> _VerifyOutcome:
     """Run every check available for one parameter.
 
     The record is ``family_summary``'s, which reads the closed forms through
     the ``fib_family`` namespace, so a perturbed function is actually
     exercised.  A resource limit marks a check skipped, never failed.
     ``blocks_below`` is the conjunction of the Zeckendorf blocks 3..a - 1 that
-    ``cmd_verify`` carries along, so only block a is walked here.
+    ``cmd_verify`` carries along, so only block a is checked here, by
+    ``block_check(a)``: ``fib_family.zeckendorf_block_check`` unless given.
     """
     t0 = time.perf_counter()
     s = fib_family.family_summary(a)
@@ -313,7 +322,7 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool) -> _Verify
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
     if a <= fib_family.MAX_BIJECTION_INDEX:
-        out.blocks = blocks_below and fib_family.zeckendorf_block_check(a)
+        out.blocks = blocks_below and (block_check or fib_family.zeckendorf_block_check)(a)
         check("zeckendorf-bijection", out.blocks)
     else:
         out.skipped.append("zeckendorf-bijection")
@@ -347,12 +356,99 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool) -> _Verify
     return out
 
 
+class _BlockChecks:
+    """Zeckendorf block checks for one ``verify`` run, of blocks 3..top.
+
+    When :func:`_fork_pays`, a forked child walks the blocks k = top, top - 2,
+    ... (f_{top-1} of the f_top residues, near 62%) in ascending k and writes
+    one byte, 1 or 0, to a pipe as each block finishes.  It calls only
+    ``fib_family.zeckendorf_block_check``, never writes stdout or stderr, and
+    ends by ``os._exit``, so an exception ends it without a traceback.  The
+    parent reads block k's byte only when asked for block k, and walks every
+    other block itself.  A byte that never arrives, because the child died or
+    was never forked, means the parent walks that block too, so a fault shows
+    as it does without the child.
+    """
+
+    def __init__(self, top: int) -> None:
+        self.pid = 0
+        self.first = 4 - top % 2  # the child's least block: 3 or 4, as top is odd or even
+        self.done = b""  # the child's results so far, in ascending k
+        blocks = range(self.first, top + 1, 2)
+        if not _fork_pays(sum(fib(k - 2) for k in blocks)):  # block k holds f_{k-2} residues
+            return
+        self.fd, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:  # no process to be had: the parent walks every block
+            os.close(self.fd)
+            os.close(w)
+            return
+        if self.pid:
+            os.close(w)
+            return
+        try:  # the child
+            os.close(self.fd)
+            for k in blocks:
+                os.write(w, b"\1" if fib_family.zeckendorf_block_check(k) else b"\0")
+        finally:
+            os._exit(0)
+
+    def __call__(self, k: int) -> bool:
+        if self.pid and k % 2 == self.first % 2:
+            i = (k - self.first) // 2
+            while len(self.done) <= i:
+                more = os.read(self.fd, 64)  # waits for the child; b"" once it is gone
+                if not more:
+                    break
+                self.done += more
+            if i < len(self.done):
+                return self.done[i] == 1
+        return fib_family.zeckendorf_block_check(k)
+
+    def close(self) -> None:
+        """Kill the child, which may be walking blocks no one will ask for,
+        and reap it."""
+        if self.pid:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            os.close(self.fd)
+            self.pid = 0
+
+
+def _fork_pays(share: int) -> bool:
+    """Whether a forked child that walks ``share`` residues beside this
+    process saves time, and can be reaped: ``os.fork`` exists, two or more
+    CPUs are usable, no second thread is running (the child would hold a copy
+    of this one only), SIGCHLD is not ignored (the kernel would reap the child
+    itself, and its pid could be reused before the parent kills it), and the
+    share is at least ``FORK_MIN_RESIDUES``."""
+    if share < FORK_MIN_RESIDUES or not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    threading = sys.modules.get("threading")  # not loaded: no thread started by it
+    if cpus < 2 or threading is not None and threading.active_count() > 1:
+        return False
+    import signal  # only where a fork follows: the import costs 46 KiB of peak RSS
+
+    return signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     outcomes: list[_VerifyOutcome] = []
     blocks = True  # each Zeckendorf block is walked once over the sweep
-    for a in range(3, args.a_max + 1):
-        outcomes.append(_verify_one(a, args, blocks))
-        blocks = outcomes[-1].blocks
+    block_check = _BlockChecks(min(args.a_max, fib_family.MAX_BIJECTION_INDEX))
+    try:
+        for a in range(3, args.a_max + 1):
+            outcomes.append(_verify_one(a, args, blocks, block_check))
+            blocks = outcomes[-1].blocks
+    finally:
+        block_check.close()
 
     failed = [o for o in outcomes if o.failures]
     detail = print if args.format == "text" else _note

@@ -6,12 +6,15 @@ import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,6 +27,9 @@ from fibsemi.cli import (
 )
 from fibsemi.fibonacci import beta, fib
 from fibsemi.semigroup_core import NumericalSemigroup
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -411,19 +417,165 @@ def test_verify_reports_the_skipped_bijection_check(capsys, monkeypatch):
     assert "skipped[zeckendorf-bijection, " in out.splitlines()[-2]
 
 
-def test_verify_walks_each_residue_once(capsys, monkeypatch):
-    calls = 0
+@pytest.fixture(params=[2, 1], ids=["forked", "in-process"])
+def cpus(request, monkeypatch):
+    """CPUs usable as ``verify`` sees them: with one it forks no child and
+    walks every Zeckendorf block itself."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    return request.param
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test."""
+    made = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_walks_each_residue_once(capsys, monkeypatch, tmp_path, forks):
+    # the walk runs in two processes when verify forks, so each walked x is
+    # appended to one file, opened before the run, by whichever process walks it
+    real = fib_family.zeckendorf_indices
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        forks.clear()
+        walked = tmp_path / f"walked-on-{cpus}"
+        fd = os.open(walked, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def logged(x):
+            os.write(fd, b"%d\n" % x)
+            return real(x)
+
+        monkeypatch.setattr(fib_family, "zeckendorf_indices", logged)
+        try:
+            code, _, _ = run(capsys, "verify", "24")
+        finally:
+            os.close(fd)
+        assert code == EXIT_OK
+        assert len(forks) == (cpus == 2)
+        # blocks 3..24 cover 1..f_24 - 1, and each x is walked exactly once
+        assert sorted(map(int, walked.read_bytes().split())) == list(range(1, fib(24)))
+
+
+def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
+    # a = 25 is MAX_BIJECTION_INDEX: the child walks blocks 3, 5, ..., 25
+    code, out, _ = run(capsys, "verify", "25", "--format", "csv")
+    assert code == EXIT_OK
+    assert out == (GOLDEN / "verify_25.csv").read_text()
+    assert len(forks) == (cpus == 2)
+    _no_child_left()
+
+
+def test_verify_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    share = fib(18)  # the child's blocks 3, 5, ..., 19 hold f_1 + f_3 + ... + f_17 residues
+    for least, forked in ((share, 1), (share + 1, 0)):
+        monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", least)
+        forks.clear()
+        assert run(capsys, "verify", "19", "--oracle-bound", "1")[0] == EXIT_OK
+        assert len(forks) == forked
+
+
+def test_verify_forks_only_where_a_child_can_run_beside_it(monkeypatch):
+    least = cli.FORK_MIN_RESIDUES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._fork_pays(least) and not cli._fork_pays(least - 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not cli._fork_pays(least)
+    # without an affinity call, the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, pays in ((1, False), (None, False), (2, True)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._fork_pays(least) == pays
+    # a second thread would not be copied into the child
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not cli._fork_pays(least)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert cli._fork_pays(least)
+    # an ignored SIGCHLD, which exec passes on, has the kernel reap the child
+    saved = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert not cli._fork_pays(least)
+    finally:
+        signal.signal(signal.SIGCHLD, saved)
+    monkeypatch.delattr(os, "fork")
+    assert not cli._fork_pays(least)
+
+
+@pytest.mark.parametrize("a_max, k", [(25, 23), (24, 24)])
+def test_verify_bad_key_in_the_childs_share_fails_from_its_block_on(
+        capsys, monkeypatch, cpus, forks, a_max, k):
+    # x = f_{k-1} opens block k, one of the child's blocks a_max, a_max - 2, ...;
+    # its key (k - 1,) becomes (2, k - 1), which is sparse but sums to x + 1
+    real = fib_family.zeckendorf_indices
+    x = fib(k - 1)
+    monkeypatch.setattr(fib_family, "zeckendorf_indices",
+                        lambda y: (2,) + real(y) if y == x else real(y))
+    code, out, _ = run(capsys, "verify", str(a_max), "--oracle-bound", "1")
+    assert code == EXIT_MISMATCH
+    failed = {int(line.split()[0][2:]) for line in out.splitlines() if " FAIL" in line}
+    assert failed == set(range(k, a_max + 1))
+    assert out.count("  mismatch:") == out.count("  mismatch: zeckendorf-bijection\n")
+    assert len(forks) == (cpus == 2)
+    _no_child_left()
+
+
+def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
+        capsys, monkeypatch, cpus, forks):
+    monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", 0)
     real = fib_family.zeckendorf_indices
 
-    def counting(x):
-        nonlocal calls
-        calls += 1
+    def broken(x):
+        if x == 13:  # block 8, [f_7, f_8), the child's under verify 12
+            raise RuntimeError("walk broke at 13")
         return real(x)
 
-    monkeypatch.setattr(fib_family, "zeckendorf_indices", counting)
-    code, _, _ = run(capsys, "verify", "24")
-    assert code == EXIT_OK
-    assert calls == fib(24) - 1 == 46_367  # blocks 3..24 cover 1..f_24 - 1
+    monkeypatch.setattr(fib_family, "zeckendorf_indices", broken)
+    code, out, err = run(capsys, "verify", "12")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "fibsemi: internal error: RuntimeError: walk broke at 13\n"
+    assert len(forks) == (cpus == 2)
+    _no_child_left()
+
+
+def test_verify_out_of_memory_mid_sweep_leaves_no_child(capsys, monkeypatch, cpus, forks):
+    monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", 0)
+    real = NumericalSemigroup.summary
+
+    def summary(self):
+        if len(self.generators) == 10:  # a = 11; the child walks up to block 20
+            raise MemoryError
+        return real(self)
+
+    monkeypatch.setattr(NumericalSemigroup, "summary", summary)
+    code, out, err = run(capsys, "verify", "20")
+    assert code == EXIT_RESOURCE
+    assert (out, err) == ("", "fibsemi: out of memory\n")
+    assert len(forks) == (cpus == 2)
+    _no_child_left()
 
 
 def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatch):
