@@ -18,7 +18,7 @@ import errno
 import os
 import sys
 import time
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 
 from . import fib_family
@@ -56,6 +56,15 @@ APERY_BLOCK_ROWS = 256
 # a share of 1,596, ran 7.19 against 6.87 ms and was faster in 9/30; verify 19
 # ran 11.03 against 11.34 ms, faster in 26/30; verify 17 lost 29/30 by 1 ms.
 FORK_MIN_RESIDUES = 2_584
+
+# Fewest rows in the forked child's share of apery's blocks for the fork to
+# pay: the share at apery 24, its odd blocks of 256 rows.  In process, csv
+# written to a pipe, fork against no fork, alternating fresh runs (2 CPUs,
+# CPython 3.11.7): apery 22 (8,751 rows) ran 13.07 against 13.28 ms, faster
+# in 21/30; apery 23 (14,321) was faster in 16/30 and then 23/30; apery 24
+# ran 28.83 against 31.28 ms, faster in 26/30, and 27.59 against 31.49 ms,
+# 27/30; apery 21 lost 21/30 by 0.9 ms.
+APERY_FORK_MIN_ROWS = 23_072
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
 # a FamilySummary's values in TABLE_FIELDS order
@@ -224,26 +233,37 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_apery(args: argparse.Namespace) -> int:
     """Write the table a block of rows at a time: each block is one %-format
-    and one write, so memory is the table plus one block."""
+    and one write, so memory is the table plus one block.  Where the fork
+    pays, a forked child renders the odd blocks; the parent renders the even
+    ones and writes every block in order."""
     table = fib_family.family_apery(args.a, table_bound=args.table_bound)
-    n = table.n  # never 0, so there is always a first block
+    n, w = table.n, table.w  # n is never 0, so there is always a first block
     if args.format == "text":
         xw = len(str(n - 1))
-        ww = len(str(max(table.w)))
+        ww = len(str(max(w)))
         head, row, sep, tail = "", f"%{xw}d  %2d  %{ww}d\n", "", ""
     else:
         head, row, sep, tail = _int_rows(args.format, ("x", "beta", "w"))
-    cells = chain.from_iterable(zip(range(n), map(beta, range(n)), table.w))
     size = APERY_BLOCK_ROWS
-    block = sep.join([row] * size)
-    out = sys.stdout
-    out.write(head)
-    for start in range(0, n, size):
-        k = min(size, n - start)
-        if k < size:  # the last block is short
-            block = sep.join([row] * k)
-        out.write((sep if start else "") + block % tuple(islice(cells, 3 * k)))
-    out.write(tail)
+    block, short = sep.join([row] * size), sep.join([row] * (n % size))
+
+    def render(start: int) -> str:
+        stop = min(start + size, n)
+        cells = chain.from_iterable(zip(range(start, stop), map(beta, range(start, stop)),
+                                        w[start:stop]))
+        return (sep if start else "") + (short if stop - start < size else block) % tuple(cells)
+
+    starts = range(0, n, size)
+    theirs = starts[1::2]
+    share = sum(min(size, n - start) for start in theirs)
+    with _Forked(lambda start: render(start).encode(), theirs, share,
+                 APERY_FORK_MIN_ROWS) as child:
+        out = sys.stdout
+        out.write(head)
+        for i, start in enumerate(starts):
+            got = child[i // 2] if i % 2 else None
+            out.write(render(start) if got is None else got.decode())
+        out.write(tail)
     return EXIT_OK
 
 
@@ -356,76 +376,90 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool,
     return out
 
 
-class _BlockChecks:
-    """Zeckendorf block checks for one ``verify`` run, of blocks 3..top.
+class _Forked:
+    """``work(job)`` for each of ``jobs``, computed ahead by a forked child on
+    a second CPU when :func:`_fork_pays` for ``share`` against ``least``.
 
-    When :func:`_fork_pays`, a forked child walks the blocks k = top, top - 2,
-    ... (f_{top-1} of the f_top residues, near 62%) in ascending k and writes
-    one byte, 1 or 0, to a pipe as each block finishes.  It calls only
-    ``fib_family.zeckendorf_block_check``, never writes stdout or stderr, and
-    ends by ``os._exit``, so an exception ends it without a traceback.  The
-    parent reads block k's byte only when asked for block k, and walks every
-    other block itself.  A byte that never arrives, because the child died or
-    was never forked, means the parent walks that block too, so a fault shows
-    as it does without the child.
+    The child computes the jobs in order and writes each result, bytes, to a
+    pipe as a 4-byte length and the payload.  It calls only ``work``, never
+    writes stdout or stderr, and ends by ``os._exit``, so an exception ends it
+    without a traceback.  ``self[i]`` is job i's result, or ``None`` if it
+    never arrives whole, because the child died, was cut short or was never
+    forked: the caller then does the job itself, so a fault shows as it does
+    without the child.  The caller asks in ascending i and may skip jobs.
+    Used as a context manager, which kills and reaps the child on every exit
+    path.
     """
 
-    def __init__(self, top: int) -> None:
+    def __init__(self, work, jobs, share: int, least: int) -> None:
         self.pid = 0
-        self.first = 4 - top % 2  # the child's least block: 3 or 4, as top is odd or even
-        self.done = b""  # the child's results so far, in ascending k
-        blocks = range(self.first, top + 1, 2)
-        if not _fork_pays(sum(fib(k - 2) for k in blocks)):  # block k holds f_{k-2} residues
+        self.pipe = None  # the child's results, until one fails to arrive
+        self.arrived = 0  # results read from the pipe
+        if not _fork_pays(share, least):
             return
-        self.fd, w = os.pipe()
+        try:
+            r, w = os.pipe()
+        except OSError:  # no descriptor to be had: the parent does every job
+            return
         try:
             self.pid = os.fork()
-        except OSError:  # no process to be had: the parent walks every block
-            os.close(self.fd)
+        except OSError:  # no process to be had
+            os.close(r)
             os.close(w)
             return
         if self.pid:
             os.close(w)
+            self.pipe = open(r, "rb")
             return
         try:  # the child
-            os.close(self.fd)
-            for k in blocks:
-                os.write(w, b"\1" if fib_family.zeckendorf_block_check(k) else b"\0")
+            os.close(r)
+            for job in jobs:
+                out = work(job)
+                frame = memoryview(len(out).to_bytes(4, "little") + out)
+                while frame:
+                    frame = frame[os.write(w, frame):]
         finally:
             os._exit(0)
 
-    def __call__(self, k: int) -> bool:
-        if self.pid and k % 2 == self.first % 2:
-            i = (k - self.first) // 2
-            while len(self.done) <= i:
-                more = os.read(self.fd, 64)  # waits for the child; b"" once it is gone
-                if not more:
-                    break
-                self.done += more
-            if i < len(self.done):
-                return self.done[i] == 1
-        return fib_family.zeckendorf_block_check(k)
+    def __getitem__(self, i: int) -> bytes | None:
+        while self.pipe and self.arrived <= i:
+            head = self.pipe.read(4)  # waits for the child; short once it is gone
+            size = int.from_bytes(head, "little")
+            out = self.pipe.read(size) if len(head) == 4 else b""
+            if len(head) < 4 or len(out) < size:
+                self.pipe.close()
+                self.pipe = None
+            else:
+                self.arrived += 1
+                if self.arrived > i:
+                    return out
+        return None
 
-    def close(self) -> None:
-        """Kill the child, which may be walking blocks no one will ask for,
+    def __enter__(self) -> "_Forked":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        """Kill the child, which may be computing jobs no one will ask for,
         and reap it."""
+        if self.pipe:
+            self.pipe.close()
+            self.pipe = None
         if self.pid:
             import signal
 
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
-            os.close(self.fd)
             self.pid = 0
 
 
-def _fork_pays(share: int) -> bool:
-    """Whether a forked child that walks ``share`` residues beside this
+def _fork_pays(share: int, least: int = FORK_MIN_RESIDUES) -> bool:
+    """Whether a forked child that takes ``share`` of the work beside this
     process saves time, and can be reaped: ``os.fork`` exists, two or more
     CPUs are usable, no second thread is running (the child would hold a copy
     of this one only), SIGCHLD is not ignored (the kernel would reap the child
     itself, and its pid could be reused before the parent kills it), and the
-    share is at least ``FORK_MIN_RESIDUES``."""
-    if share < FORK_MIN_RESIDUES or not hasattr(os, "fork"):
+    share is at least ``least``, the measured break-even."""
+    if share < least or not hasattr(os, "fork"):
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -440,15 +474,25 @@ def _fork_pays(share: int) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Check a = 3..a_max in order.  A forked child walks the Zeckendorf
+    blocks k = top, top - 2, ..., down to 3 or 4 (f_{top-1} of the f_top
+    residues, near 62%); the parent walks the others as it checks each a."""
     outcomes: list[_VerifyOutcome] = []
     blocks = True  # each Zeckendorf block is walked once over the sweep
-    block_check = _BlockChecks(min(args.a_max, fib_family.MAX_BIJECTION_INDEX))
-    try:
+    top = min(args.a_max, fib_family.MAX_BIJECTION_INDEX)
+    first = 4 - top % 2  # the child's least block: 3 or 4, as top is odd or even
+    theirs = range(first, top + 1, 2)
+    share = sum(fib(k - 2) for k in theirs)  # block k holds f_{k-2} residues
+    with _Forked(lambda k: b"\1" if fib_family.zeckendorf_block_check(k) else b"\0",
+                 theirs, share, FORK_MIN_RESIDUES) as child:
+
+        def block_check(k: int) -> bool:
+            got = child[(k - first) // 2] if k % 2 == first % 2 else None
+            return fib_family.zeckendorf_block_check(k) if got is None else got == b"\1"
+
         for a in range(3, args.a_max + 1):
             outcomes.append(_verify_one(a, args, blocks, block_check))
             blocks = outcomes[-1].blocks
-    finally:
-        block_check.close()
 
     failed = [o for o in outcomes if o.failures]
     detail = print if args.format == "text" else _note

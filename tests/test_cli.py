@@ -578,6 +578,151 @@ def test_verify_out_of_memory_mid_sweep_leaves_no_child(capsys, monkeypatch, cpu
     _no_child_left()
 
 
+def _emfile():
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+@pytest.mark.parametrize("argv, snapshot", [
+    ("verify 20 --format csv", "verify_20.csv"),
+    ("apery 12 --format csv", "apery_12.csv"),
+])
+def test_no_pipe_means_no_child(capsys, monkeypatch, forks, argv, snapshot):
+    # a process out of descriptors does every job itself, as one out of processes does
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", 0)
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
+    monkeypatch.setattr(os, "pipe", _emfile)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (EXIT_OK, (GOLDEN / snapshot).read_text())
+    assert "Errno" not in err  # verify's csv has its summary line there
+    assert forks == []
+
+
+@pytest.mark.parametrize("cut", [2, 6], ids=["in-the-length", "in-the-payload"])
+def test_forked_results_that_never_arrive_whole_are_none(monkeypatch, forks, cut):
+    # the child writes jobs 0 and 1 whole, then part of job 2's frame, and dies
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent, real = os.getpid(), os.write
+
+    def write(fd, data):
+        if os.getpid() != parent and bytes(data[4:]) == b"job 2":
+            real(fd, data[:cut])
+            os._exit(0)
+        return real(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    with cli._Forked(lambda j: b"job %d" % j, range(5), 1, 1) as child:
+        assert [child[i] for i in range(5)] == [b"job 0", b"job 1", None, None, None]
+    assert len(forks) == 1
+    _no_child_left()
+    # a job skipped, or asked for twice, is read past; one never forked is None
+    with cli._Forked(lambda j: b"%d" % j, range(5), 1, 1) as child:
+        assert [child[i] for i in (1, 3, 3, 4)] == [b"1", b"3", None, b"4"]
+    with cli._Forked(lambda j: b"%d" % j, range(5), 1, 2) as child:
+        assert child[0] is None
+    assert len(forks) == 2
+    _no_child_left()
+
+
+# -- apery on two CPUs ------------------------------------------------------------
+
+def _apery_share(a: int, size: int = 256) -> int:
+    """Rows in apery a's odd blocks of ``size`` rows: the forked child's."""
+    n = fib(a)
+    return sum(min(size, n - start) for start in range(size, n, 2 * size))
+
+
+@pytest.mark.parametrize("fmt, snapshot", [
+    ("csv", "apery_12.csv"), ("text", "apery_12.txt"), ("json", "apery_12.json"),
+])
+@pytest.mark.parametrize("size", [16, 100, 256])
+def test_apery_output_is_the_same_forked_or_not(capsys, monkeypatch, cpus, forks,
+                                                fmt, snapshot, size):
+    # apery 12 has 144 rows: the child renders the odd blocks of 16 or 100 rows,
+    # and has no block at all when one block of 256 holds them all
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", size)
+    code, out, err = run(capsys, "apery", "12", "--format", fmt)
+    assert (code, out, err) == (EXIT_OK, (GOLDEN / snapshot).read_text(), "")
+    assert len(forks) == (cpus == 2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_apery_past_the_break_even_is_the_same_forked_or_not(capsys, monkeypatch,
+                                                             forks, fmt):
+    assert _apery_share(25) > cli.APERY_FORK_MIN_ROWS
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        code, out, err = run(capsys, "apery", "25", "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == {"csv": 1 + fib(25), "text": fib(25),
+                                            "json": 2 + 5 * fib(25)}[fmt]
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_apery_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # at the defaults, apery 24's odd blocks are the break-even and apery 23's fall short
+    assert cli.APERY_FORK_MIN_ROWS == _apery_share(24) > _apery_share(23)
+    monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
+    share = _apery_share(12, 16)  # blocks 1, 3, 5, 7 of 16 rows
+    assert share == 64
+    for least, forked in ((share, 1), (share + 1, 0)):
+        monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", least)
+        forks.clear()
+        assert run(capsys, "apery", "12", "--format", "csv")[0] == EXIT_OK
+        assert len(forks) == forked
+
+
+def test_apery_render_raising_in_the_childs_block_is_one_internal_error(
+        capsys, monkeypatch, cpus, forks):
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
+    real = cli.beta
+
+    def broken(x):
+        if x == 20:  # block 1, rows 16..31, the child's
+            raise RuntimeError("render broke at 20")
+        return real(x)
+
+    monkeypatch.setattr(cli, "beta", broken)
+    code, out, err = run(capsys, "apery", "12", "--format", "csv")
+    assert code == EXIT_INTERNAL
+    # the header and block 0 were written before block 1 was asked for
+    assert out == "".join((GOLDEN / "apery_12.csv").read_text().splitlines(True)[:17])
+    assert err == "fibsemi: internal error: RuntimeError: render broke at 20\n"
+    assert len(forks) == (cpus == 2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_apery_child_gone_after_k_blocks_changes_no_byte(capsys, monkeypatch, forks, k):
+    # the child renders blocks 1, 3, 5, 7 of apery 12's 16-row blocks, and
+    # exits as it starts block 2k + 1: the parent renders that block and the rest
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
+    parent, real = os.getpid(), cli.beta
+
+    def beta_until(x):
+        if os.getpid() != parent and x == (2 * k + 1) * 16:
+            os._exit(0)
+        return real(x)
+
+    monkeypatch.setattr(cli, "beta", beta_until)
+    code, out, err = run(capsys, "apery", "12", "--format", "json")
+    assert (code, out, err) == (EXIT_OK, (GOLDEN / "apery_12.json").read_text(), "")
+    assert len(forks) == 1
+    _no_child_left()
+
+
 def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatch):
     real = fib_family.zeckendorf_indices
     # x = 12 lies in block 7, [f_6, f_7) = [8, 13); 2 + 4 + 7 is sparse but sums to 17
