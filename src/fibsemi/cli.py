@@ -240,7 +240,7 @@ def cmd_apery(args: argparse.Namespace) -> int:
     n, w = table.n, table.w  # n is never 0, so there is always a first block
     if args.format == "text":
         xw = len(str(n - 1))
-        ww = len(str(max(w)))
+        ww = len(str(w[-1]))  # w(f_a - 1) = F + f_a is the largest entry
         head, row, sep, tail = "", f"%{xw}d  %2d  %{ww}d\n", "", ""
     else:
         head, row, sep, tail = _int_rows(args.format, ("x", "beta", "w"))
@@ -261,7 +261,7 @@ def cmd_apery(args: argparse.Namespace) -> int:
         out = sys.stdout
         out.write(head)
         for i, start in enumerate(starts):
-            got = child[i // 2] if i % 2 else None
+            got = child.take() if i % 2 else None
             out.write(render(start) if got is None else got.decode())
         out.write(tail)
     return EXIT_OK
@@ -269,17 +269,14 @@ def cmd_apery(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     """Compute, render and write one row at a time, so memory is the
-    Fibonacci memo plus one row.  Text sizes its columns in a first pass that
-    keeps only each column's least and greatest value: len(str(v)) grows
-    with |v| on either side of 0, so one of the two is a widest cell."""
+    Fibonacci memo plus one row.  Text sizes its columns from the a_min and
+    a_max rows: every column is nondecreasing in a (README), and len(str(v))
+    grows with |v| on either side of 0, so one of the two is a widest cell."""
     if args.a_min > args.a_max:
         raise InvalidRange(f"a_min {args.a_min} exceeds a_max {args.a_max}")
-    indices = range(args.a_min, args.a_max + 1)
     if args.format == "text":
-        values = map(_table_values, map(fib_family.family_summary, indices))
-        low = high = next(values)
-        for v in values:  # lists: tuple(map(...)) strands a 7-tuple on a freelist
-            low, high = [*map(min, low, v)], [*map(max, high, v)]
+        low, high = (_table_values(fib_family.family_summary(a))
+                     for a in (args.a_min, args.a_max))
         widths = [max(len(k), len(str(lo)), len(str(hi)))
                   for k, lo, hi in zip(TABLE_FIELDS, low, high)]
         head = "  ".join(map(str.rjust, TABLE_FIELDS, widths)) + "\n"
@@ -290,7 +287,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     out = sys.stdout
     out.write(head)
     lead = ""
-    for s in map(fib_family.family_summary, indices):
+    for s in map(fib_family.family_summary, range(args.a_min, args.a_max + 1)):
         out.write(lead + row % _table_values(s))
         lead = sep
     out.write(tail)
@@ -308,7 +305,7 @@ class _VerifyOutcome:
 
 
 def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool,
-                block_check=None) -> _VerifyOutcome:
+                block_check) -> _VerifyOutcome:
     """Run every check available for one parameter.
 
     The record is ``family_summary``'s, which reads the closed forms through
@@ -316,7 +313,9 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool,
     exercised.  A resource limit marks a check skipped, never failed.
     ``blocks_below`` is the conjunction of the Zeckendorf blocks 3..a - 1 that
     ``cmd_verify`` carries along, so only block a is checked here, by
-    ``block_check(a)``: ``fib_family.zeckendorf_block_check`` unless given.
+    ``block_check(a)``.  It is called for every a <= MAX_BIJECTION_INDEX,
+    even once a block below a has failed, so that ``cmd_verify`` takes each
+    of the forked child's results, in order.
     """
     t0 = time.perf_counter()
     s = fib_family.family_summary(a)
@@ -342,7 +341,7 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool,
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
     if a <= fib_family.MAX_BIJECTION_INDEX:
-        out.blocks = blocks_below and (block_check or fib_family.zeckendorf_block_check)(a)
+        out.blocks = block_check(a) and blocks_below
         check("zeckendorf-bijection", out.blocks)
     else:
         out.skipped.append("zeckendorf-bijection")
@@ -383,18 +382,17 @@ class _Forked:
     The child computes the jobs in order and writes each result, bytes, to a
     pipe as a 4-byte length and the payload.  It calls only ``work``, never
     writes stdout or stderr, and ends by ``os._exit``, so an exception ends it
-    without a traceback.  ``self[i]`` is job i's result, or ``None`` if it
-    never arrives whole, because the child died, was cut short or was never
-    forked: the caller then does the job itself, so a fault shows as it does
-    without the child.  The caller asks in ascending i and may skip jobs.
-    Used as a context manager, which kills and reaps the child on every exit
-    path.
+    without a traceback.  The caller takes every job's result in job order,
+    one :meth:`take` per job.  A result that never arrives whole, because the
+    child died, was cut short or was never forked, is ``None``, as is every
+    later one: the caller then does those jobs itself, so a fault shows as it
+    does without the child.  Used as a context manager, which kills and reaps
+    the child on every exit path.
     """
 
     def __init__(self, work, jobs, share: int, least: int) -> None:
         self.pid = 0
         self.pipe = None  # the child's results, until one fails to arrive
-        self.arrived = 0  # results read from the pipe
         if not _fork_pays(share, least):
             return
         try:
@@ -421,26 +419,24 @@ class _Forked:
         finally:
             os._exit(0)
 
-    def __getitem__(self, i: int) -> bytes | None:
-        while self.pipe and self.arrived <= i:
+    def take(self) -> bytes | None:
+        """The next job's result, or ``None`` once one fails to arrive whole."""
+        if self.pipe:
             head = self.pipe.read(4)  # waits for the child; short once it is gone
             size = int.from_bytes(head, "little")
             out = self.pipe.read(size) if len(head) == 4 else b""
-            if len(head) < 4 or len(out) < size:
-                self.pipe.close()
-                self.pipe = None
-            else:
-                self.arrived += 1
-                if self.arrived > i:
-                    return out
+            if len(head) == 4 and len(out) == size:
+                return out
+            self.pipe.close()
+            self.pipe = None
         return None
 
     def __enter__(self) -> "_Forked":
         return self
 
     def __exit__(self, *exc) -> None:
-        """Kill the child, which may be computing jobs no one will ask for,
-        and reap it."""
+        """Kill the child, which may be computing jobs no one will take, and
+        reap it."""
         if self.pipe:
             self.pipe.close()
             self.pipe = None
@@ -452,7 +448,7 @@ class _Forked:
             self.pid = 0
 
 
-def _fork_pays(share: int, least: int = FORK_MIN_RESIDUES) -> bool:
+def _fork_pays(share: int, least: int) -> bool:
     """Whether a forked child that takes ``share`` of the work beside this
     process saves time, and can be reaped: ``os.fork`` exists, two or more
     CPUs are usable, no second thread is running (the child would hold a copy
@@ -487,7 +483,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                  theirs, share, FORK_MIN_RESIDUES) as child:
 
         def block_check(k: int) -> bool:
-            got = child[(k - first) // 2] if k % 2 == first % 2 else None
+            got = child.take() if k % 2 == first % 2 else None
             return fib_family.zeckendorf_block_check(k) if got is None else got == b"\1"
 
         for a in range(3, args.a_max + 1):

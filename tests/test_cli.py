@@ -291,9 +291,10 @@ class _PipeClosedAfterOneWrite(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_table_stops_computing_at_a_closed_pipe(capsys, monkeypatch, fmt):
-    # each row is written before the next is computed
+    # each row is written before the next is computed; text first computes the
+    # a_min and a_max rows, which size its columns
     asked = []
     summary = fib_family.family_summary
     monkeypatch.setattr(fib_family, "family_summary", lambda a: asked.append(a) or summary(a))
@@ -301,8 +302,24 @@ def test_table_stops_computing_at_a_closed_pipe(capsys, monkeypatch, fmt):
     code = main(["table", "0", "5000", "--format", fmt])
     monkeypatch.undo()
     assert code == EXIT_RESOURCE
-    assert len(asked) <= 2, len(asked)
+    assert len(asked) <= (3 if fmt == "text" else 2), len(asked)
     assert capsys.readouterr().err == "fibsemi: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@given(st.integers(0, 400), st.integers(0, 400))
+@settings(max_examples=40, deadline=None)
+def test_table_text_widths_from_the_end_rows_are_a_full_pass(a_min, a_max):
+    # every column is nondecreasing in a, so its widest cell is in an end row
+    a_min, a_max = sorted((a_min, a_max))
+    rows = [cli._table_values(fib_family.family_summary(a)) for a in range(a_min, a_max + 1)]
+    widths = [max(len(str(v)) for v in (k, *column))
+              for k, column in zip(cli.TABLE_FIELDS, zip(*rows))]
+    full_pass = "".join("  ".join(str(v).rjust(w) for v, w in zip(row, widths)) + "\n"
+                        for row in [cli.TABLE_FIELDS, *rows])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["table", str(a_min), str(a_max)]) == EXIT_OK
+    assert out.getvalue() == full_pass
 
 
 # -- verify -----------------------------------------------------------------------
@@ -359,7 +376,7 @@ def test_verify_table_bound_is_f_a(capsys):
 def test_verify_default_oracle_budget_names_itself():
     # one parameter only: verify 31 would first run the oracle for every a <= 29
     args = cli.build_parser().parse_args(["verify", "31", "--table-bound", "1"])
-    outcome = cli._verify_one(31, args, True)
+    outcome = cli._verify_one(31, args, True, fib_family.zeckendorf_block_check)
     assert outcome.failures == []
     assert outcome.skipped == ["zeckendorf-bijection", "apery-table",
                                _budget_skip(1346269, 10_000_000)]
@@ -495,40 +512,42 @@ def test_verify_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, 
 def test_verify_forks_only_where_a_child_can_run_beside_it(monkeypatch):
     least = cli.FORK_MIN_RESIDUES
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli._fork_pays(least) and not cli._fork_pays(least - 1)
+    assert cli._fork_pays(least, least) and not cli._fork_pays(least - 1, least)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert not cli._fork_pays(least)
+    assert not cli._fork_pays(least, least)
     # without an affinity call, the CPU count decides
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     for count, pays in ((1, False), (None, False), (2, True)):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert cli._fork_pays(least) == pays
+        assert cli._fork_pays(least, least) == pays
     # a second thread would not be copied into the child
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert not cli._fork_pays(least)
+        assert not cli._fork_pays(least, least)
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert cli._fork_pays(least)
+    assert cli._fork_pays(least, least)
     # an ignored SIGCHLD, which exec passes on, has the kernel reap the child
     saved = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        assert not cli._fork_pays(least)
+        assert not cli._fork_pays(least, least)
     finally:
         signal.signal(signal.SIGCHLD, saved)
     monkeypatch.delattr(os, "fork")
-    assert not cli._fork_pays(least)
+    assert not cli._fork_pays(least, least)
 
 
-@pytest.mark.parametrize("a_max, k", [(25, 23), (24, 24)])
+@pytest.mark.parametrize("a_max, k", [(25, 23), (24, 24), (25, 24), (24, 23)])
 def test_verify_bad_key_in_the_childs_share_fails_from_its_block_on(
         capsys, monkeypatch, cpus, forks, a_max, k):
-    # x = f_{k-1} opens block k, one of the child's blocks a_max, a_max - 2, ...;
-    # its key (k - 1,) becomes (2, k - 1), which is sparse but sums to x + 1
+    # x = f_{k-1} opens block k: one of the child's blocks a_max, a_max - 2, ...
+    # when k and a_max have one parity, else one of the parent's, after which
+    # the child's later results are still taken.  Its key (k - 1,) becomes
+    # (2, k - 1), which is sparse but sums to x + 1
     real = fib_family.zeckendorf_indices
     x = fib(k - 1)
     monkeypatch.setattr(fib_family, "zeckendorf_indices",
@@ -613,15 +632,13 @@ def test_forked_results_that_never_arrive_whole_are_none(monkeypatch, forks, cut
 
     monkeypatch.setattr(os, "write", write)
     with cli._Forked(lambda j: b"job %d" % j, range(5), 1, 1) as child:
-        assert [child[i] for i in range(5)] == [b"job 0", b"job 1", None, None, None]
+        assert [child.take() for _ in range(5)] == [b"job 0", b"job 1", None, None, None]
     assert len(forks) == 1
     _no_child_left()
-    # a job skipped, or asked for twice, is read past; one never forked is None
-    with cli._Forked(lambda j: b"%d" % j, range(5), 1, 1) as child:
-        assert [child[i] for i in (1, 3, 3, 4)] == [b"1", b"3", None, b"4"]
+    # a child never forked has no result to take
     with cli._Forked(lambda j: b"%d" % j, range(5), 1, 2) as child:
-        assert child[0] is None
-    assert len(forks) == 2
+        assert child.take() is None
+    assert len(forks) == 1
     _no_child_left()
 
 
@@ -735,9 +752,10 @@ def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatc
     assert out.count("  mismatch:") == out.count("  mismatch: zeckendorf-bijection\n") == 6
     # one parameter walks only its own block and takes the blocks below on trust
     args = cli.build_parser().parse_args(["verify", "10", "--oracle-bound", "1"])
-    assert cli._verify_one(10, args, True).failures == []
-    assert cli._verify_one(10, args, False).failures == ["zeckendorf-bijection"]
-    assert cli._verify_one(7, args, True).failures == ["zeckendorf-bijection"]
+    check = fib_family.zeckendorf_block_check
+    assert cli._verify_one(10, args, True, check).failures == []
+    assert cli._verify_one(10, args, False, check).failures == ["zeckendorf-bijection"]
+    assert cli._verify_one(7, args, True, check).failures == ["zeckendorf-bijection"]
 
 
 def _mismatches(out: str) -> list[str]:

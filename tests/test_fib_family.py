@@ -455,6 +455,34 @@ def test_wilf_slack_closed_form_and_its_bounds():
     assert family_summary(3).wilf_slack == family_summary(4).wilf_slack == 0
 
 
+def test_summary_columns_are_nondecreasing_by_the_readme_steps():
+    # README, "Every table column is nondecreasing in a": with p = f_{a-2} and
+    # q = f_{a-1}, 10 * the step of n and of the slack from a to a + 1, by parity
+    for a in range(2, 400):
+        p, q = fib(a - 2), fib(a - 1)
+        if a % 2:
+            ten_dn = 2 * (a - 1) * p + (a - 7) * q
+            ten_ds = (a - 1) * (2 * a + 1) * p + (a * a - 9 * a + 4) * q
+        else:
+            ten_dn = (2 * a + 8) * p + (a + 8) * q
+            ten_ds = (2 * a * a + 9 * a - 16) * p + (a + 8) * (a - 2) * q
+        now, then = family_summary(a), family_summary(a + 1)
+        assert 10 * (then.n_count - now.n_count) == ten_dn >= 0
+        assert 10 * (then.wilf_slack - now.wilf_slack) == ten_ds >= 0
+        if a >= 3:
+            assert q <= 2 * p
+    # the seven fields are the seven columns of table
+    for a in range(400):
+        assert all(map(int.__le__, family_summary(a), family_summary(a + 1)))
+
+
+def test_apery_last_entry_is_the_largest():
+    # w(f_a - 1) = F + f_a, the top entry that text apery sizes its column by
+    for a in range(3, 22):
+        w = family_apery(a).w
+        assert w[-1] == max(w) == family_frobenius(a) + fib(a)
+
+
 def test_membership_inclusion_of_later_fibonacci():
     # every fib(n) with n >= a lies in the semigroup
     for a in range(3, 13):
