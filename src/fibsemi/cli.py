@@ -51,11 +51,12 @@ EXIT_INTERNAL = 4
 APERY_BLOCK_ROWS = 256
 
 # Fewest residues in the forked child's share of verify's Zeckendorf walk for
-# the fork to pay: f_18, the share at verify 19.  In process, fork against no
-# fork, 30 alternating fresh runs each (2 CPUs, CPython 3.11.7): verify 18,
-# a share of 1,596, ran 7.19 against 6.87 ms and was faster in 9/30; verify 19
-# ran 11.03 against 11.34 ms, faster in 26/30; verify 17 lost 29/30 by 1 ms.
-FORK_MIN_RESIDUES = 2_584
+# the fork to pay: floor(f_19 / 2), the share at verify 19.  In process, fork
+# against no fork, 30 alternating fresh runs each (2 CPUs, CPython 3.11.7):
+# verify 19 ran 6.88 against 7.04 ms, faster in 18/30, then in 22/30 and
+# 21/30; verify 20 (3,382) was faster in 30/30 and 29/30 by 1.7 ms; verify 18
+# (1,292) lost 27/30 and verify 17 (798) 28/30, each by 0.8 ms.
+FORK_MIN_RESIDUES = 2_090
 
 # Fewest rows in the forked child's share of apery's blocks for the fork to
 # pay: the share at apery 24, its odd blocks of 256 rows.  In process, csv
@@ -471,19 +472,18 @@ def _fork_pays(share: int, least: int) -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Check a = 3..a_max in order.  A forked child walks the Zeckendorf
-    blocks k = top, top - 2, ..., down to 3 or 4 (f_{top-1} of the f_top
-    residues, near 62%); the parent walks the others as it checks each a."""
+    blocks k = top, top - 3, ..., down to 3, 4 or 5 (floor(f_top / 2) of the
+    f_top - 1 residues); the parent walks the others as it checks each a."""
     outcomes: list[_VerifyOutcome] = []
     blocks = True  # each Zeckendorf block is walked once over the sweep
     top = min(args.a_max, fib_family.MAX_BIJECTION_INDEX)
-    first = 4 - top % 2  # the child's least block: 3 or 4, as top is odd or even
-    theirs = range(first, top + 1, 2)
+    theirs = range(3 + (top - 3) % 3, top + 1, 3)  # ..., top - 3, top: from 3, 4 or 5
     share = sum(fib(k - 2) for k in theirs)  # block k holds f_{k-2} residues
     with _Forked(lambda k: b"\1" if fib_family.zeckendorf_block_check(k) else b"\0",
                  theirs, share, FORK_MIN_RESIDUES) as child:
 
         def block_check(k: int) -> bool:
-            got = child.take() if k % 2 == first % 2 else None
+            got = child.take() if k in theirs else None
             return fib_family.zeckendorf_block_check(k) if got is None else got == b"\1"
 
         for a in range(3, args.a_max + 1):

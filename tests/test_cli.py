@@ -491,7 +491,7 @@ def test_verify_walks_each_residue_once(capsys, monkeypatch, tmp_path, forks):
 
 
 def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
-    # a = 25 is MAX_BIJECTION_INDEX: the child walks blocks 3, 5, ..., 25
+    # a = 25 is MAX_BIJECTION_INDEX: the child walks blocks 4, 7, ..., 25
     code, out, _ = run(capsys, "verify", "25", "--format", "csv")
     assert code == EXIT_OK
     assert out == (GOLDEN / "verify_25.csv").read_text()
@@ -499,9 +499,31 @@ def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
     _no_child_left()
 
 
+def test_verify_childs_blocks_hold_half_the_residues(capsys, monkeypatch):
+    # blocks 3..top hold the f_top - 1 residues 1..f_top - 1; the child's top,
+    # top - 3, ..., down to 3, 4 or 5, hold floor(f_top / 2) of them
+    made = []
+    real = cli._Forked
+
+    def spy(work, jobs, share, least):
+        made.append((list(jobs), share))
+        return real(work, jobs, share, least)
+
+    monkeypatch.setattr(cli, "_Forked", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(fib_family, "zeckendorf_block_check", lambda k: True)
+    for top in range(3, 26):
+        assert run(capsys, "verify", str(top), "--oracle-bound", "1",
+                   "--table-bound", "1")[0] == EXIT_OK
+        jobs, share = made.pop()
+        assert jobs == sorted(range(top, 2, -3))
+        assert share == sum(fib(k - 2) for k in jobs) == fib(top) // 2
+
+
 def test_verify_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    share = fib(18)  # the child's blocks 3, 5, ..., 19 hold f_1 + f_3 + ... + f_17 residues
+    share = fib(19) // 2  # the child's blocks 4, 7, ..., 19 hold f_2 + f_5 + ... + f_17 residues
+    assert cli.FORK_MIN_RESIDUES == share
     for least, forked in ((share, 1), (share + 1, 0)):
         monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", least)
         forks.clear()
@@ -541,11 +563,11 @@ def test_verify_forks_only_where_a_child_can_run_beside_it(monkeypatch):
     assert not cli._fork_pays(least, least)
 
 
-@pytest.mark.parametrize("a_max, k", [(25, 23), (24, 24), (25, 24), (24, 23)])
+@pytest.mark.parametrize("a_max, k", [(25, 22), (24, 24), (25, 23), (25, 24), (24, 23)])
 def test_verify_bad_key_in_the_childs_share_fails_from_its_block_on(
         capsys, monkeypatch, cpus, forks, a_max, k):
-    # x = f_{k-1} opens block k: one of the child's blocks a_max, a_max - 2, ...
-    # when k and a_max have one parity, else one of the parent's, after which
+    # x = f_{k-1} opens block k: one of the child's blocks a_max, a_max - 3, ...
+    # when a_max - k is a multiple of 3, else one of the parent's, after which
     # the child's later results are still taken.  Its key (k - 1,) becomes
     # (2, k - 1), which is sparse but sums to x + 1
     real = fib_family.zeckendorf_indices
@@ -567,15 +589,15 @@ def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
     real = fib_family.zeckendorf_indices
 
     def broken(x):
-        if x == 13:  # block 8, [f_7, f_8), the child's under verify 12
-            raise RuntimeError("walk broke at 13")
+        if x == 21:  # block 9, [f_8, f_9), the child's under verify 12
+            raise RuntimeError("walk broke at 21")
         return real(x)
 
     monkeypatch.setattr(fib_family, "zeckendorf_indices", broken)
     code, out, err = run(capsys, "verify", "12")
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert err == "fibsemi: internal error: RuntimeError: walk broke at 13\n"
+    assert err == "fibsemi: internal error: RuntimeError: walk broke at 21\n"
     assert len(forks) == (cpus == 2)
     _no_child_left()
 

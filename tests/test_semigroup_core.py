@@ -6,9 +6,10 @@ import time
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fibsemi import semigroup_core
 from fibsemi.fib_family import family_generators
 from fibsemi.semigroup_core import (
     AperyTable,
@@ -321,6 +322,32 @@ def test_apery_bitset_equals_dijkstra(gens):
     assert [sg.contains(x) for x in range(f + 2 * m)] == members
     assert sg.gaps() == [x for x in range(1, f + 1) if not members[x]]
     assert sg.n_count() == sum(members[:max(f, 0)])
+
+
+@given(coprime_generators(), st.integers(min_value=1, max_value=128))
+@example([3, 5], 1)  # windows of 3 cells, narrower than 5; the run 8..10 straddles two
+@example([3, 5], 8)  # one window of 9 cells, closed under both; the run ends in the next
+@example([5, 7], 5)  # windows of 5 cells; the run 24..28 straddles two
+@settings(max_examples=150, deadline=None)
+def test_windowed_reachability_equals_dijkstra(gens, floor):
+    # windows as narrow as m, where no generator is narrower than one, and
+    # wider, where some are: F, R and Ap(S, m) against Nijenhuis's table
+    m = min(gens)
+    width = -(-floor // m) * m
+    w = dijkstra_apery(sorted(set(gens)), m)
+    f = max(w) - m
+    members = sum(1 << x for x in range(f + 1) if x >= w[x % m])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semigroup_core, "WINDOW_MIN_CELLS", floor)
+        # one cell short of F + m + 1 refuses, however far its last window runs
+        with pytest.raises(ResourceLimit, match=f"no run of {m} consecutive .* {f + m}-cell"):
+            NumericalSemigroup(gens, cell_limit=f + m).frobenius()
+        sg = NumericalSemigroup(gens, cell_limit=f + m + 1)
+        got_f, reach = sg._reachability()
+        assert got_f == f
+        assert reach & ((1 << (f + 1)) - 1) == members
+        assert reach.bit_length() < f + m + 1 + width  # the budget plus one window
+        assert sg.apery_bitset(m) == sum(1 << wi for wi in w)
 
 
 @given(coprime_generators())
