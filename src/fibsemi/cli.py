@@ -18,7 +18,6 @@ import errno
 import os
 import sys
 import time
-from itertools import chain
 from operator import attrgetter
 
 from . import fib_family
@@ -234,9 +233,10 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_apery(args: argparse.Namespace) -> int:
     """Write the table a block of rows at a time: each block is one %-format
-    and one write, so memory is the table plus one block.  Where the fork
-    pays, a forked child renders the odd blocks; the parent renders the even
-    ones and writes every block in order."""
+    and one write, so memory is the table plus one block.  A block's cells
+    are one list, x, beta and w of each row in turn, filled by three slice
+    assignments.  Where the fork pays, a forked child renders the odd blocks;
+    the parent renders the even ones and writes every block in order."""
     table = fib_family.family_apery(args.a, table_bound=args.table_bound)
     n, w = table.n, table.w  # n is never 0, so there is always a first block
     if args.format == "text":
@@ -250,8 +250,10 @@ def cmd_apery(args: argparse.Namespace) -> int:
 
     def render(start: int) -> str:
         stop = min(start + size, n)
-        cells = chain.from_iterable(zip(range(start, stop), map(beta, range(start, stop)),
-                                        w[start:stop]))
+        cells = [0] * (3 * (stop - start))
+        cells[0::3] = range(start, stop)
+        cells[1::3] = map(beta, range(start, stop))
+        cells[2::3] = w[start:stop]
         return (sep if start else "") + (short if stop - start < size else block) % tuple(cells)
 
     starts = range(0, n, size)

@@ -9,6 +9,7 @@ force in the feasible range and the tests require exact agreement.
 """
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from math import comb
 
@@ -36,6 +37,10 @@ __all__ = [
 
 DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a (residues) of an Apery table or bitset
 MAX_BIJECTION_INDEX = 25  # largest a the Zeckendorf bijection check walks
+
+# Bytes of memory per entry of a family_apery table: one 8-byte tuple slot and
+# one int.  tracemalloc reads 40.0 B per entry at a = 22 and a = 28.
+APERY_ENTRY_BYTES = 40
 
 
 class TableTooLarge(ResourceLimit):
@@ -79,6 +84,7 @@ def family_apery(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> AperyTabl
         return AperyTable(1, (0,))
     _refuse_oversized_table(a, table_bound)
     fa = fib(a)
+    _refuse_table_past_memory(a, fa)
     return AperyTable(fa, tuple(beta(x) * fa + x for x in range(fa)))
 
 
@@ -118,6 +124,23 @@ def _refuse_oversized_table(a: int, table_bound: int) -> None:
         need = f"= {fib(a)}" if a == top + 1 else f">= f_{top + 1} = {fib(top + 1)}"
         raise TableTooLarge(
             f"Apery table needs f_{a} {need} entries, above the bound {table_bound}"
+        )
+
+
+def _refuse_table_past_memory(a: int, fa: int) -> None:
+    """Raise ResourceLimit when f_a entries of APERY_ENTRY_BYTES each exceed
+    the machine's physical memory, so a table that a raised bound admits but
+    no run can hold is refused before any beta is computed.  Where the
+    platform does not report its memory, nothing is refused."""
+    try:
+        pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return
+    need, memory = fa * APERY_ENTRY_BYTES, pages * page
+    if pages > 0 and page > 0 and need > memory:
+        raise ResourceLimit(
+            f"Apery table of f_{a} = {fa} entries needs {need} bytes, "
+            f"over the {memory} bytes of physical memory"
         )
 
 

@@ -213,6 +213,44 @@ def test_apery_refuses_a_huge_index_in_one_short_line(capsys):
     assert all(len(line) < 200 for line in lines), lines
 
 
+def _no_beta(x):
+    raise AssertionError(f"beta({x}) computed for a table that is refused")
+
+
+def test_apery_refuses_a_table_past_physical_memory(capsys, monkeypatch):
+    # f_60 = 1,548,008,755,920 entries of 40 B each: about 62 TB
+    monkeypatch.setattr(fib_family, "beta", _no_beta)
+    monkeypatch.setattr(cli, "beta", _no_beta)
+    code, out, err = run(capsys, "apery", "60", "--table-bound", "1000000000000000")
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    # one line, and no hint to raise --table-bound: a larger bound cannot help
+    assert err.startswith("ResourceLimit: Apery table of f_60 = 1548008755920 entries "
+                          "needs 61920350236800 bytes, over the ")
+    assert err.endswith(" bytes of physical memory\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_apery_refuses_a_default_bound_table_past_a_small_memory(capsys, monkeypatch):
+    sizes = {"SC_PHYS_PAGES": 100, "SC_PAGE_SIZE": 4096}  # 409,600 bytes
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    monkeypatch.setattr(fib_family, "beta", _no_beta)
+    monkeypatch.setattr(cli, "beta", _no_beta)
+    code, out, err = run(capsys, "apery", "22")  # 17,711 entries: 708,440 bytes
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err == ("ResourceLimit: Apery table of f_22 = 17711 entries needs 708440 "
+                   "bytes, over the 409600 bytes of physical memory\n")
+
+
+def test_verify_ignores_physical_memory(capsys, monkeypatch):
+    # verify reads the closed-form bitset, family_apery_bitset, never the table
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1, "SC_PAGE_SIZE": 1}.__getitem__)
+    code, out, _ = run(capsys, "verify", "20", "--format", "csv")
+    assert code == EXIT_OK
+    assert out == (GOLDEN / "verify_20.csv").read_text()
+
+
 # -- table ------------------------------------------------------------------------
 
 def test_table_csv_schema_and_values(capsys):
@@ -1081,13 +1119,15 @@ def test_out_of_memory_exits_with_resource_code(capsys, monkeypatch, argv, owner
 
 
 def test_out_of_memory_in_a_limited_child_exits_with_resource_code():
-    # family_apery's tuple of f_60 entries outgrows a 64 MB address space, about
-    # three times what the interpreter needs to start and import fibsemi
+    # family_apery's 2,178,309 entries at a = 32, 87 MB, outgrow a 64 MB address
+    # space, about three times what the interpreter needs to start and import
+    # fibsemi (apery 30's 33 MB table fits); any machine holds them, so the
+    # physical-memory refusal lets them through
     resource = pytest.importorskip("resource")
     limit = 64 * 2**20
     proc = subprocess.run(
-        [sys.executable, "-m", "fibsemi", "apery", "60",
-         "--table-bound", "1000000000000000", "--format", "csv"],
+        [sys.executable, "-m", "fibsemi", "apery", "32",
+         "--table-bound", "10000000", "--format", "csv"],
         capture_output=True, text=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )

@@ -26,7 +26,7 @@ from fibsemi.fib_family import (
     zeckendorf_block_check,
 )
 from fibsemi.fibonacci import beta, fib, gamma, zeckendorf_indices
-from fibsemi.semigroup_core import NumericalSemigroup
+from fibsemi.semigroup_core import NumericalSemigroup, ResourceLimit
 from sparse_subsets import EnumerationTooLarge, enumerate_sparse_subsets
 
 
@@ -114,6 +114,50 @@ def test_apery_table_bound_refuses_before_computing_f_a():
     assert peak < 1_000_000, peak
     with pytest.raises(TableTooLarge, match=r"f_31 = 1346269 entries"):
         family_apery(31)
+
+
+def _physical_memory(monkeypatch, pages, page=1) -> None:
+    """Make os.sysconf report ``pages`` pages of ``page`` bytes."""
+    sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page}
+    monkeypatch.setattr(fib_family.os, "sysconf", sizes.__getitem__)
+
+
+def _no_beta(x):
+    raise AssertionError(f"beta({x}) computed for a table that is refused")
+
+
+def test_apery_table_past_physical_memory_is_refused_before_any_beta(monkeypatch):
+    need = fib(22) * fib_family.APERY_ENTRY_BYTES  # 17,711 entries of 40 B
+    assert family_apery(22).n == fib(22)
+    _physical_memory(monkeypatch, need - 1)
+    monkeypatch.setattr(fib_family, "beta", _no_beta)
+    with pytest.raises(ResourceLimit) as refused:
+        family_apery(22)
+    assert type(refused.value) is ResourceLimit  # not TableTooLarge: no bound helps
+    assert str(refused.value) == (
+        f"Apery table of f_22 = 17711 entries needs {need} bytes, "
+        f"over the {need - 1} bytes of physical memory")
+    monkeypatch.undo()
+    _physical_memory(monkeypatch, need)
+    assert family_apery(22).n == fib(22)  # exactly the machine's memory: built
+
+
+def _sysconf_raises(error):
+    def sysconf(name):
+        raise error(name)
+    return sysconf
+
+
+@pytest.mark.parametrize("sysconf", [
+    *({"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page}.__getitem__
+      for pages, page in [(-1, 4096), (0, 4096), (1, -1), (1, 0), (-1, -1)]),
+    _sysconf_raises(ValueError),  # no such name
+    _sysconf_raises(OSError),
+    _sysconf_raises(AttributeError),  # no os.sysconf on this platform
+])
+def test_apery_table_is_not_refused_where_memory_is_not_reported(monkeypatch, sysconf):
+    monkeypatch.setattr(fib_family.os, "sysconf", sysconf)
+    assert family_apery(22).n == fib(22)
 
 
 def _as_bits(ws) -> int:

@@ -1,8 +1,9 @@
 """The runtime stays pure standard library: every import under src/fibsemi is
 either of fibsemi itself or of a standard-library module.  Every module also
 parses as Python 3.10, the oldest version pyproject.toml admits.  The CLI
-loads no standard-library module it has no use for.  The package's public
-names are its modules' ``__all__`` lists, stated once."""
+loads no standard-library module it has no use for, and no module imports a
+name it never reads.  The package's public names are its modules' ``__all__``
+lists, stated once."""
 from __future__ import annotations
 
 import ast
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fibsemi
 from fibsemi import fib_family, fibonacci, semigroup_core
@@ -33,6 +36,46 @@ def test_runtime_imports_only_the_standard_library():
         for name in imported_modules(tree):
             top = name.split(".")[0]
             assert top == "fibsemi" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """The names ``tree`` imports but neither reads nor lists in ``__all__``.
+    ``from __future__`` and ``*`` imports bind no name to read."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names
+                         if alias.name != "*"]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= {elt.value for elt in getattr(node.value, "elts", ())
+                         if isinstance(elt, ast.Constant)}
+    return [name for name in imported if name not in read | exported]
+
+
+def test_every_import_is_used():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert unused_imports(ast.parse(path.read_text(), str(path))) == [], path.name
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("from itertools import chain\n", ["chain"]),
+    ("import os.path\n", ["os"]),
+    ("import os.path\nos.sep\n", []),
+    ("from a import b as c\nb\n", ["c"]),
+    ("from a import b\nb = 1\n", ["b"]),  # rebinding is not reading
+    ("from a import b\n__all__ = ['b']\n", []),
+    ("from __future__ import annotations\nfrom a import *\n", []),
+    ("from . import m\ndef f(x: m.T): pass\n", []),
+])
+def test_unused_imports_finds_what_is_never_read(source, unused):
+    assert unused_imports(ast.parse(source)) == unused
 
 
 # Loaded by none of these runs: dataclasses pulls in inspect, json is only
