@@ -58,13 +58,13 @@ APERY_BLOCK_ROWS = 256
 FORK_MIN_RESIDUES = 2_090
 
 # Fewest rows in the forked child's share of apery's blocks for the fork to
-# pay: the share at apery 24, its odd blocks of 256 rows.  In process, csv
-# written to a pipe, fork against no fork, alternating fresh runs (2 CPUs,
-# CPython 3.11.7): apery 22 (8,751 rows) ran 13.07 against 13.28 ms, faster
-# in 21/30; apery 23 (14,321) was faster in 16/30 and then 23/30; apery 24
-# ran 28.83 against 31.28 ms, faster in 26/30, and 27.59 against 31.49 ms,
-# 27/30; apery 21 lost 21/30 by 0.9 ms.
-APERY_FORK_MIN_ROWS = 23_072
+# pay: the share at apery 22, its odd blocks of 256 rows.  The child builds
+# its own table, so each process builds one beside the other.  In process,
+# csv written to a pipe, fork against no fork, 30 alternating fresh runs each
+# (2 CPUs, CPython 3.11.7): apery 22 ran 8.70 against 9.01 ms, faster in
+# 26/30, then in 29/30 and 25/30; apery 23 (14,321) was faster in 27/30 and
+# 29/30 by 1.4 ms; apery 21 (5,376) lost 29/30, 30/30 and 30/30 by 0.4 ms.
+APERY_FORK_MIN_ROWS = 8_751
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
 # a FamilySummary's values in TABLE_FIELDS order
@@ -235,20 +235,29 @@ def cmd_apery(args: argparse.Namespace) -> int:
     """Write the table a block of rows at a time: each block is one %-format
     and one write, so memory is the table plus one block.  A block's cells
     are one list, x, beta and w of each row in turn, filled by three slice
-    assignments.  Where the fork pays, a forked child renders the odd blocks;
-    the parent renders the even ones and writes every block in order."""
-    table = fib_family.family_apery(args.a, table_bound=args.table_bound)
-    n, w = table.n, table.w  # n is never 0, so there is always a first block
+    assignments.  Every refusal is made first.  Then, where the fork pays and
+    two tables fit in physical memory, a forked child renders the odd blocks
+    from a table it builds on its first job; the parent builds its own right
+    after the fork, renders the even blocks and writes every block in order.
+    Nothing either process writes was built before the fork, so no page of
+    a table is copied on write."""
+    a, size = args.a, APERY_BLOCK_ROWS
+    memory = fib_family._refuse_apery_table(a, args.table_bound)
+    n = max(fib(a), 1)  # the table's rows: one for a <= 2, else f_a
     if args.format == "text":
         xw = len(str(n - 1))
-        ww = len(str(w[-1]))  # w(f_a - 1) = F + f_a is the largest entry
+        # w(n - 1) = F + f_a is the largest entry, known before any table is built
+        ww = len(str(fib_family.family_frobenius(a) + n))
         head, row, sep, tail = "", f"%{xw}d  %2d  %{ww}d\n", "", ""
     else:
         head, row, sep, tail = _int_rows(args.format, ("x", "beta", "w"))
-    size = APERY_BLOCK_ROWS
     block, short = sep.join([row] * size), sep.join([row] * (n % size))
+    w = None  # this process's table of w, built after the fork
 
     def render(start: int) -> str:
+        nonlocal w
+        if w is None:  # the child's first job
+            w = fib_family.family_apery(a, table_bound=args.table_bound).w
         stop = min(start + size, n)
         cells = [0] * (3 * (stop - start))
         cells[0::3] = range(start, stop)
@@ -256,11 +265,14 @@ def cmd_apery(args: argparse.Namespace) -> int:
         cells[2::3] = w[start:stop]
         return (sep if start else "") + (short if stop - start < size else block) % tuple(cells)
 
+    q, r = divmod(n, size)
+    share = (q // 2) * size + (r if q % 2 else 0)  # the rows of the odd blocks
+    if memory is not None and 2 * n * fib_family.APERY_ENTRY_BYTES > memory:
+        share = -1  # no room for the child's table beside the parent's: never forks
     starts = range(0, n, size)
-    theirs = starts[1::2]
-    share = sum(min(size, n - start) for start in theirs)
-    with _Forked(lambda start: render(start).encode(), theirs, share,
+    with _Forked(lambda start: render(start).encode(), starts[1::2], share,
                  APERY_FORK_MIN_ROWS) as child:
+        w = fib_family.family_apery(a, table_bound=args.table_bound).w
         out = sys.stdout
         out.write(head)
         for i, start in enumerate(starts):
@@ -391,6 +403,10 @@ class _Forked:
     later one: the caller then does those jobs itself, so a fault shows as it
     does without the child.  Used as a context manager, which kills and reaps
     the child on every exit path.
+
+    ``work`` may build what it needs on the child's first job rather than
+    before the fork, as ``apery``'s table is: each process then writes only
+    pages it built itself, and neither pays a copy-on-write fault for them.
     """
 
     def __init__(self, work, jobs, share: int, least: int) -> None:

@@ -80,11 +80,10 @@ def family_apery(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> AperyTabl
     """Full Apery table at the multiplicity f_a, straight from the formula."""
     if a < 0:
         raise ValueError("index must be nonnegative")
+    _refuse_apery_table(a, table_bound)
     if a <= 2:
         return AperyTable(1, (0,))
-    _refuse_oversized_table(a, table_bound)
     fa = fib(a)
-    _refuse_table_past_memory(a, fa)
     return AperyTable(fa, tuple(beta(x) * fa + x for x in range(fa)))
 
 
@@ -127,21 +126,33 @@ def _refuse_oversized_table(a: int, table_bound: int) -> None:
         )
 
 
-def _refuse_table_past_memory(a: int, fa: int) -> None:
-    """Raise ResourceLimit when f_a entries of APERY_ENTRY_BYTES each exceed
-    the machine's physical memory, so a table that a raised bound admits but
-    no run can hold is refused before any beta is computed.  Where the
-    platform does not report its memory, nothing is refused."""
+def _refuse_apery_table(a: int, table_bound: int) -> int | None:
+    """Raise what :func:`family_apery` refuses, before any beta is computed,
+    and else return the bytes of physical memory read for it.
+
+    Past ``table_bound``, TableTooLarge.  Past physical memory, at
+    APERY_ENTRY_BYTES per entry, ResourceLimit: no bound can help a table
+    that no run can hold.  None is returned, and nothing refused for memory,
+    where the platform does not report it; a <= 2, whose one-entry table is
+    never refused, returns None too.
+    """
+    if a <= 2:
+        return None
+    _refuse_oversized_table(a, table_bound)
     try:
         pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        return
+        return None
+    if pages <= 0 or page <= 0:
+        return None
+    fa = fib(a)
     need, memory = fa * APERY_ENTRY_BYTES, pages * page
-    if pages > 0 and page > 0 and need > memory:
+    if need > memory:
         raise ResourceLimit(
             f"Apery table of f_{a} = {fa} entries needs {need} bytes, "
             f"over the {memory} bytes of physical memory"
         )
+    return memory
 
 
 def family_frobenius(a: int) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -746,8 +747,8 @@ def test_apery_past_the_break_even_is_the_same_forked_or_not(capsys, monkeypatch
 
 def test_apery_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # at the defaults, apery 24's odd blocks are the break-even and apery 23's fall short
-    assert cli.APERY_FORK_MIN_ROWS == _apery_share(24) > _apery_share(23)
+    # at the defaults, apery 22's odd blocks are the break-even and apery 21's fall short
+    assert cli.APERY_FORK_MIN_ROWS == _apery_share(22) > _apery_share(21)
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
     share = _apery_share(12, 16)  # blocks 1, 3, 5, 7 of 16 rows
     assert share == 64
@@ -756,6 +757,116 @@ def test_apery_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, f
         forks.clear()
         assert run(capsys, "apery", "12", "--format", "csv")[0] == EXIT_OK
         assert len(forks) == forked
+
+
+def test_apery_childs_share_is_the_rows_of_its_blocks(capsys, monkeypatch):
+    # the share is computed in O(1) from f_a and the block size; the sum over
+    # the child's blocks is its definition
+    made = []
+    real = cli._Forked
+
+    def spy(work, jobs, share, least):
+        made.append((jobs, share))
+        return real(work, jobs, share, least)
+
+    monkeypatch.setattr(cli, "_Forked", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for size in (1, 2, 3, 16, 100, 256):
+        monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", size)
+        for a in (0, 1, 2, 3, 4, 5, 10, 12, 16):
+            assert run(capsys, "apery", str(a), "--format", "csv")[0] == EXIT_OK
+            jobs, share = made.pop()
+            n = max(fib(a), 1)
+            assert list(jobs) == list(range(size, n, 2 * size))
+            assert share == sum(min(size, n - start) for start in jobs) == _apery_share(a, size)
+
+
+@pytest.mark.parametrize("argv", ["apery 40", "apery 60 --table-bound 1000000000000000"])
+def test_apery_refuses_before_it_forks(capsys, monkeypatch, forks, argv):
+    # past the bound, and past physical memory: refused before any fork, no row written
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, out, _ = run(capsys, *argv.split())
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert forks == []
+    _no_child_left()
+
+
+def test_apery_forks_only_where_two_tables_fit(capsys, monkeypatch, forks):
+    # the child builds a table of its own beside the parent's: with room for
+    # one table but not two, the parent renders every block itself.  Memory
+    # not reported, as 0 pages, refuses nothing and keeps nothing from forking
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = "apery 25 --format json"
+    digest, = (line.split("  ")[0] for line in (GOLDEN / "apery.sha256").read_text().splitlines()
+               if line.endswith("  " + argv))
+    table = fib(25) * fib_family.APERY_ENTRY_BYTES
+    for pages, forked in ((table, 0), (2 * table - 1, 0), (2 * table, 1), (0, 1)):
+        sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+        forks.clear()
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert len(forks) == forked
+        _no_child_left()
+
+
+def test_apery_forks_before_either_process_builds_its_table(capsys, monkeypatch, tmp_path,
+                                                            cpus, forks):
+    # each process builds the table it renders: one family_apery call in each,
+    # after the fork, logged with its pid to one file opened before the run
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
+    log = tmp_path / "calls"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real_fork, real_apery = os.fork, fib_family.family_apery
+
+    def fork():
+        os.write(fd, b"fork %d\n" % os.getpid())
+        return real_fork()
+
+    def family_apery(*args, **kwargs):
+        os.write(fd, b"family_apery %d\n" % os.getpid())
+        return real_apery(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(fib_family, "family_apery", family_apery)
+    try:
+        code, out, err = run(capsys, "apery", "12", "--format", "csv")
+    finally:
+        os.close(fd)
+    assert (code, out, err) == (EXIT_OK, (GOLDEN / "apery_12.csv").read_text(), "")
+    calls = log.read_text().splitlines()
+    parent = os.getpid()
+    if cpus == 2:
+        assert len(forks) == 1
+        _no_child_left()
+        assert calls[0] == f"fork {parent}"
+        assert sorted(calls[1:]) == sorted([f"family_apery {parent}",
+                                            f"family_apery {forks[0]}"])
+    else:
+        assert forks == []
+        assert calls == [f"family_apery {parent}"]
+
+
+def test_apery_child_out_of_memory_for_its_table_changes_no_byte(capsys, monkeypatch, forks):
+    # the child builds its table on its first job; when it cannot, it sends
+    # nothing, and the parent renders every block from its own table
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
+    parent, real = os.getpid(), fib_family.family_apery
+
+    def family_apery(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fib_family, "family_apery", family_apery)
+    code, out, err = run(capsys, "apery", "12")
+    assert (code, out, err) == (EXIT_OK, (GOLDEN / "apery_12.txt").read_text(), "")
+    assert len(forks) == 1
+    _no_child_left()
 
 
 def test_apery_render_raising_in_the_childs_block_is_one_internal_error(
