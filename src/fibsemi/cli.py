@@ -18,6 +18,7 @@ import errno
 import os
 import sys
 import time
+from functools import cache
 from operator import attrgetter
 
 from . import fib_family
@@ -236,11 +237,10 @@ def cmd_apery(args: argparse.Namespace) -> int:
     and one write, so memory is the table plus one block.  A block's cells
     are one list, x, beta and w of each row in turn, filled by three slice
     assignments.  Every refusal is made first.  Then, where the fork pays and
-    two tables fit in physical memory, a forked child renders the odd blocks
-    from a table it builds on its first job; the parent builds its own right
-    after the fork, renders the even blocks and writes every block in order.
-    Nothing either process writes was built before the fork, so no page of
-    a table is copied on write."""
+    two tables fit in physical memory, a forked child renders the odd blocks;
+    the parent renders the even blocks and writes every block in order.  Each
+    process builds its own table on its first block, after the fork, so no
+    page of a table is copied on write."""
     a, size = args.a, APERY_BLOCK_ROWS
     memory = fib_family._refuse_apery_table(a, args.table_bound)
     n = max(fib(a), 1)  # the table's rows: one for a <= 2, else f_a
@@ -252,32 +252,26 @@ def cmd_apery(args: argparse.Namespace) -> int:
     else:
         head, row, sep, tail = _int_rows(args.format, ("x", "beta", "w"))
     block, short = sep.join([row] * size), sep.join([row] * (n % size))
-    w = None  # this process's table of w, built after the fork
+    # this process's table of w, built on its first block, after the fork
+    table = cache(lambda: fib_family.family_apery(a, table_bound=args.table_bound).w)
 
     def render(start: int) -> str:
-        nonlocal w
-        if w is None:  # the child's first job
-            w = fib_family.family_apery(a, table_bound=args.table_bound).w
         stop = min(start + size, n)
         cells = [0] * (3 * (stop - start))
         cells[0::3] = range(start, stop)
         cells[1::3] = map(beta, range(start, stop))
-        cells[2::3] = w[start:stop]
-        return (sep if start else "") + (short if stop - start < size else block) % tuple(cells)
+        cells[2::3] = table()[start:stop]
+        return (sep if start else head) + (short if stop - start < size else block) % tuple(cells)
 
     q, r = divmod(n, size)
     share = (q // 2) * size + (r if q % 2 else 0)  # the rows of the odd blocks
     if memory is not None and 2 * n * fib_family.APERY_ENTRY_BYTES > memory:
         share = -1  # no room for the child's table beside the parent's: never forks
     starts = range(0, n, size)
-    with _Forked(lambda start: render(start).encode(), starts[1::2], share,
-                 APERY_FORK_MIN_ROWS) as child:
-        w = fib_family.family_apery(a, table_bound=args.table_bound).w
+    with _Forked(render, starts[1::2], share, APERY_FORK_MIN_ROWS) as blocks:
         out = sys.stdout
-        out.write(head)
-        for i, start in enumerate(starts):
-            got = child.take() if i % 2 else None
-            out.write(render(start) if got is None else got.decode())
+        for start in starts:
+            out.write(blocks.result(start))
         out.write(tail)
     return EXIT_OK
 
@@ -316,21 +310,16 @@ class _VerifyOutcome:
         self.failures: list[str] = []
         self.skipped: list[str] = []
         self.ms = 0
-        self.blocks: bool | None = None  # Zeckendorf blocks 3..a all checked out
 
 
-def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool,
-                block_check) -> _VerifyOutcome:
+def _verify_one(a: int, args: argparse.Namespace, bijection) -> _VerifyOutcome:
     """Run every check available for one parameter.
 
     The record is ``family_summary``'s, which reads the closed forms through
     the ``fib_family`` namespace, so a perturbed function is actually
     exercised.  A resource limit marks a check skipped, never failed.
-    ``blocks_below`` is the conjunction of the Zeckendorf blocks 3..a - 1 that
-    ``cmd_verify`` carries along, so only block a is checked here, by
-    ``block_check(a)``.  It is called for every a <= MAX_BIJECTION_INDEX,
-    even once a block below a has failed, so that ``cmd_verify`` takes each
-    of the forked child's results, in order.
+    ``bijection(a)`` is the Zeckendorf bijection check of 1..f_a - 1, asked
+    for every a <= MAX_BIJECTION_INDEX.
     """
     t0 = time.perf_counter()
     s = fib_family.family_summary(a)
@@ -356,8 +345,7 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool,
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
     if a <= fib_family.MAX_BIJECTION_INDEX:
-        out.blocks = block_check(a) and blocks_below
-        check("zeckendorf-bijection", out.blocks)
+        check("zeckendorf-bijection", bijection(a))
     else:
         out.skipped.append("zeckendorf-bijection")
 
@@ -391,25 +379,26 @@ def _verify_one(a: int, args: argparse.Namespace, blocks_below: bool,
 
 
 class _Forked:
-    """``work(job)`` for each of ``jobs``, computed ahead by a forked child on
-    a second CPU when :func:`_fork_pays` for ``share`` against ``least``.
+    """``work(job)``, a string, for each of ``jobs``, computed ahead by a
+    forked child on a second CPU when :func:`_fork_pays` for ``share``
+    against ``least``.
 
-    The child computes the jobs in order and writes each result, bytes, to a
-    pipe as a 4-byte length and the payload.  It calls only ``work``, never
+    The child computes the jobs in order and writes each result, encoded, to
+    a pipe as a 4-byte length and the payload.  It calls only ``work``, never
     writes stdout or stderr, and ends by ``os._exit``, so an exception ends it
-    without a traceback.  The caller takes every job's result in job order,
-    one :meth:`take` per job.  A result that never arrives whole, because the
-    child died, was cut short or was never forked, is ``None``, as is every
-    later one: the caller then does those jobs itself, so a fault shows as it
-    does without the child.  Used as a context manager, which kills and reaps
-    the child on every exit path.
+    without a traceback.  The caller asks :meth:`result` for any job, asking
+    for the child's jobs in job order.  Once one of the child's results fails
+    to arrive whole, because the child died or was cut short, this process
+    computes it and every later job itself, as it does every job when no child
+    was forked, so a fault shows as it does without the child.  Used as a
+    context manager, which kills and reaps the child on every exit path.
 
-    ``work`` may build what it needs on the child's first job rather than
-    before the fork, as ``apery``'s table is: each process then writes only
-    pages it built itself, and neither pays a copy-on-write fault for them.
+    ``work`` caches what it builds once, as ``apery``'s table: each process
+    then builds its own after the fork.
     """
 
     def __init__(self, work, jobs, share: int, least: int) -> None:
+        self.work, self.jobs = work, jobs
         self.pid = 0
         self.pipe = None  # the child's results, until one fails to arrive
         if not _fork_pays(share, least):
@@ -431,31 +420,32 @@ class _Forked:
         try:  # the child
             os.close(r)
             for job in jobs:
-                out = work(job)
+                out = work(job).encode()
                 frame = memoryview(len(out).to_bytes(4, "little") + out)
                 while frame:
                     frame = frame[os.write(w, frame):]
         finally:
             os._exit(0)
 
-    def take(self) -> bytes | None:
-        """The next job's result, or ``None`` once one fails to arrive whole."""
-        if self.pipe:
+    def result(self, job) -> str:
+        """``work(job)``: the child's, for one of its jobs while its results
+        arrive whole, else computed here."""
+        if self.pipe and job in self.jobs:
             head = self.pipe.read(4)  # waits for the child; short once it is gone
             size = int.from_bytes(head, "little")
             out = self.pipe.read(size) if len(head) == 4 else b""
             if len(head) == 4 and len(out) == size:
-                return out
+                return out.decode()
             self.pipe.close()
             self.pipe = None
-        return None
+        return self.work(job)
 
     def __enter__(self) -> "_Forked":
         return self
 
     def __exit__(self, *exc) -> None:
-        """Kill the child, which may be computing jobs no one will take, and
-        reap it."""
+        """Kill the child, which may be computing jobs no one will ask for,
+        and reap it."""
         if self.pipe:
             self.pipe.close()
             self.pipe = None
@@ -489,24 +479,26 @@ def _fork_pays(share: int, least: int) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Check a = 3..a_max in order.  A forked child walks the Zeckendorf
-    blocks k = top, top - 3, ..., down to 3, 4 or 5 (floor(f_top / 2) of the
-    f_top - 1 residues); the parent walks the others as it checks each a."""
+    """Check a = 3..a_max in order.  Each Zeckendorf block k is walked once
+    over the sweep, and the bijection at a is the conjunction of blocks
+    3..a.  A forked child walks the blocks k = top, top - 3, ..., down to 3,
+    4 or 5 (floor(f_top / 2) of the f_top - 1 residues); the parent walks the
+    others as it checks each a."""
     outcomes: list[_VerifyOutcome] = []
-    blocks = True  # each Zeckendorf block is walked once over the sweep
     top = min(args.a_max, fib_family.MAX_BIJECTION_INDEX)
     theirs = range(3 + (top - 3) % 3, top + 1, 3)  # ..., top - 3, top: from 3, 4 or 5
     share = sum(fib(k - 2) for k in theirs)  # block k holds f_{k-2} residues
-    with _Forked(lambda k: b"\1" if fib_family.zeckendorf_block_check(k) else b"\0",
-                 theirs, share, FORK_MIN_RESIDUES) as child:
+    with _Forked(lambda k: str(fib_family.zeckendorf_block_check(k)),
+                 theirs, share, FORK_MIN_RESIDUES) as blocks:
+        holds = True  # blocks 3..k all check out
 
-        def block_check(k: int) -> bool:
-            got = child.take() if k in theirs else None
-            return fib_family.zeckendorf_block_check(k) if got is None else got == b"\1"
+        def bijection(k: int) -> bool:
+            nonlocal holds
+            holds = blocks.result(k) == "True" and holds  # each k asked, failed or not
+            return holds
 
         for a in range(3, args.a_max + 1):
-            outcomes.append(_verify_one(a, args, blocks, block_check))
-            blocks = outcomes[-1].blocks
+            outcomes.append(_verify_one(a, args, bijection))
 
     failed = [o for o in outcomes if o.failures]
     detail = print if args.format == "text" else _note

@@ -56,9 +56,7 @@ def family_generators(a: int) -> tuple[int, ...]:
     """
     if a < 0:
         raise ValueError("index must be nonnegative")
-    if a <= 2:
-        return (1,)
-    fa = fib(a)
+    fa = max(fib(a), 1)
     return (fa,) + tuple(fa + fib(k) for k in range(2, a))
 
 
@@ -73,7 +71,7 @@ def family_apery_value(a: int, x: int) -> int:
     fa = max(fib(a), 1)
     if not 0 <= x < fa:
         raise ValueError(f"residue {x} out of range for modulus {fa}")
-    return beta(x) * fib(a) + x
+    return beta(x) * fa + x
 
 
 def family_apery(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> AperyTable:
@@ -81,9 +79,7 @@ def family_apery(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> AperyTabl
     if a < 0:
         raise ValueError("index must be nonnegative")
     _refuse_apery_table(a, table_bound)
-    if a <= 2:
-        return AperyTable(1, (0,))
-    fa = fib(a)
+    fa = max(fib(a), 1)
     return AperyTable(fa, tuple(beta(x) * fa + x for x in range(fa)))
 
 

@@ -415,7 +415,7 @@ def test_verify_table_bound_is_f_a(capsys):
 def test_verify_default_oracle_budget_names_itself():
     # one parameter only: verify 31 would first run the oracle for every a <= 29
     args = cli.build_parser().parse_args(["verify", "31", "--table-bound", "1"])
-    outcome = cli._verify_one(31, args, True, fib_family.zeckendorf_block_check)
+    outcome = cli._verify_one(31, args, lambda k: True)
     assert outcome.failures == []
     assert outcome.skipped == ["zeckendorf-bijection", "apery-table",
                                _budget_skip(1346269, 10_000_000)]
@@ -680,7 +680,7 @@ def test_no_pipe_means_no_child(capsys, monkeypatch, forks, argv, snapshot):
 
 
 @pytest.mark.parametrize("cut", [2, 6], ids=["in-the-length", "in-the-payload"])
-def test_forked_results_that_never_arrive_whole_are_none(monkeypatch, forks, cut):
+def test_forked_results_that_never_arrive_whole_are_computed_here(monkeypatch, forks, cut):
     # the child writes jobs 0 and 1 whole, then part of job 2's frame, and dies
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     parent, real = os.getpid(), os.write
@@ -692,13 +692,40 @@ def test_forked_results_that_never_arrive_whole_are_none(monkeypatch, forks, cut
         return real(fd, data)
 
     monkeypatch.setattr(os, "write", write)
-    with cli._Forked(lambda j: b"job %d" % j, range(5), 1, 1) as child:
-        assert [child.take() for _ in range(5)] == [b"job 0", b"job 1", None, None, None]
+    here = []  # the jobs this process computes; the child's list is its own
+
+    def work(j):
+        here.append(j)
+        return "job %d" % j
+
+    jobs = ["job %d" % j for j in range(5)]
+    with cli._Forked(work, range(5), 1, 1) as child:
+        assert [child.result(j) for j in range(5)] == jobs
+    assert here == [2, 3, 4]
     assert len(forks) == 1
     _no_child_left()
-    # a child never forked has no result to take
-    with cli._Forked(lambda j: b"%d" % j, range(5), 1, 2) as child:
-        assert child.take() is None
+    # a child never forked leaves every job to this process
+    here.clear()
+    with cli._Forked(work, range(5), 1, 2) as child:
+        assert [child.result(j) for j in range(5)] == jobs
+    assert here == [0, 1, 2, 3, 4]
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_forked_jobs_not_the_childs_are_computed_here(monkeypatch, forks):
+    # the child has jobs 1 and 3; jobs 0, 2 and 4 never read the pipe, so
+    # each job gets its own result
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    here = []
+
+    def work(j):
+        here.append(j)
+        return "job %d" % j
+
+    with cli._Forked(work, range(1, 5, 2), 1, 1) as child:
+        assert [child.result(j) for j in range(5)] == ["job %d" % j for j in range(5)]
+    assert here == [0, 2, 4]
     assert len(forks) == 1
     _no_child_left()
 
@@ -921,12 +948,13 @@ def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatc
     failed = {int(line.split()[0][2:]) for line in out.splitlines() if " FAIL" in line}
     assert failed == set(range(7, 13))
     assert out.count("  mismatch:") == out.count("  mismatch: zeckendorf-bijection\n") == 6
-    # one parameter walks only its own block and takes the blocks below on trust
+    # one parameter reports the bijection it is handed: verify 12 above holds
+    # block a together with the blocks below it
     args = cli.build_parser().parse_args(["verify", "10", "--oracle-bound", "1"])
     check = fib_family.zeckendorf_block_check
-    assert cli._verify_one(10, args, True, check).failures == []
-    assert cli._verify_one(10, args, False, check).failures == ["zeckendorf-bijection"]
-    assert cli._verify_one(7, args, True, check).failures == ["zeckendorf-bijection"]
+    assert cli._verify_one(10, args, check).failures == []
+    assert cli._verify_one(10, args, lambda k: False).failures == ["zeckendorf-bijection"]
+    assert cli._verify_one(7, args, check).failures == ["zeckendorf-bijection"]
 
 
 def _mismatches(out: str) -> list[str]:

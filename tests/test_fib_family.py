@@ -91,8 +91,12 @@ def test_apery_value_has_no_size_bound():
 
 
 def test_apery_small_parameters_collapse():
+    # S = N for a <= 2: one residue at modulus 1, never refused, not even by a bound of 0
     for a in range(3):
-        assert family_apery(a).w == (0,)
+        assert family_apery(a).w == family_apery(a, table_bound=0).w == (0,)
+        assert family_apery(a, table_bound=0).n == 1
+        assert family_apery_bitset(a, table_bound=0) == 1
+        assert family_apery_value(a, 0) == 0
 
 
 def test_apery_table_bound_enforced():
