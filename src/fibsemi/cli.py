@@ -18,8 +18,10 @@ import errno
 import os
 import sys
 import time
+from contextlib import closing
 from functools import cache
-from operator import attrgetter
+from itertools import accumulate
+from operator import and_, attrgetter
 
 from . import fib_family
 from .fib_family import DEFAULT_TABLE_BOUND, FamilySummary, TableTooLarge
@@ -236,13 +238,15 @@ def cmd_apery(args: argparse.Namespace) -> int:
     """Write the table a block of rows at a time: each block is one %-format
     and one write, so memory is the table plus one block.  A block's cells
     are one list, x, beta and w of each row in turn, filled by three slice
-    assignments.  Every refusal is made first.  Then, where the fork pays and
-    two tables fit in physical memory, a forked child renders the odd blocks;
-    the parent renders the even blocks and writes every block in order.  Each
-    process builds its own table on its first block, after the fork, so no
-    page of a table is copied on write."""
+    assignments.  Every refusal is made first, and ``fib_family`` says
+    whether two tables fit in physical memory.  Then the parent writes each
+    block as :func:`_forked` yields it, in order: where the fork pays and two
+    tables fit, a forked child renders the odd blocks and the parent the even
+    ones.  The fork is made at the first block, and each process builds its
+    own table on its first block, after the fork, so no page of a table is
+    copied on write."""
     a, size = args.a, APERY_BLOCK_ROWS
-    memory = fib_family._refuse_apery_table(a, args.table_bound)
+    room_for_two = fib_family._refuse_apery_table(a, args.table_bound)
     n = max(fib(a), 1)  # the table's rows: one for a <= 2, else f_a
     if args.format == "text":
         xw = len(str(n - 1))
@@ -265,13 +269,13 @@ def cmd_apery(args: argparse.Namespace) -> int:
 
     q, r = divmod(n, size)
     share = (q // 2) * size + (r if q % 2 else 0)  # the rows of the odd blocks
-    if memory is not None and 2 * n * fib_family.APERY_ENTRY_BYTES > memory:
+    if not room_for_two:
         share = -1  # no room for the child's table beside the parent's: never forks
     starts = range(0, n, size)
-    with _Forked(render, starts[1::2], share, APERY_FORK_MIN_ROWS) as blocks:
+    with closing(_forked(render, starts, starts[1::2], share, APERY_FORK_MIN_ROWS)) as blocks:
         out = sys.stdout
-        for start in starts:
-            out.write(blocks.result(start))
+        for text in blocks:
+            out.write(text)
         out.write(tail)
     return EXIT_OK
 
@@ -378,83 +382,74 @@ def _verify_one(a: int, args: argparse.Namespace, bijection) -> _VerifyOutcome:
     return out
 
 
-class _Forked:
-    """``work(job)``, a string, for each of ``jobs``, computed ahead by a
-    forked child on a second CPU when :func:`_fork_pays` for ``share``
+def _forked(work, jobs, theirs, share: int, least: int):
+    """Yield ``work(job)``, a string, for each of ``jobs`` in order; the jobs
+    in ``theirs``, some of ``jobs`` in the same order, are computed ahead by
+    a forked child on a second CPU when :func:`_fork_pays` for ``share``
     against ``least``.
 
-    The child computes the jobs in order and writes each result, encoded, to
-    a pipe as a 4-byte length and the payload.  It calls only ``work``, never
-    writes stdout or stderr, and ends by ``os._exit``, so an exception ends it
-    without a traceback.  The caller asks :meth:`result` for any job, asking
-    for the child's jobs in job order.  Once one of the child's results fails
-    to arrive whole, because the child died or was cut short, this process
-    computes it and every later job itself, as it does every job when no child
-    was forked, so a fault shows as it does without the child.  Used as a
-    context manager, which kills and reaps the child on every exit path.
+    The fork is made at the first result.  The child computes ``theirs`` in
+    order and writes each result, encoded, to a pipe as a 4-byte length and
+    the payload.  It calls only ``work``, never writes stdout or stderr, and
+    ends by ``os._exit``, so an exception ends it without a traceback.  From
+    the first of its results that fails to arrive whole, because the child
+    died or was cut short, this process computes every job itself, as it does
+    every job when no child was forked, so a fault shows as it does without
+    the child.  Closing the generator, which callers do on every exit path
+    through ``contextlib.closing``, kills the child, which may be computing
+    jobs no one will take, and reaps it.
 
     ``work`` caches what it builds once, as ``apery``'s table: each process
     then builds its own after the fork.
     """
-
-    def __init__(self, work, jobs, share: int, least: int) -> None:
-        self.work, self.jobs = work, jobs
-        self.pid = 0
-        self.pipe = None  # the child's results, until one fails to arrive
-        if not _fork_pays(share, least):
-            return
-        try:
-            r, w = os.pipe()
-        except OSError:  # no descriptor to be had: the parent does every job
-            return
-        try:
-            self.pid = os.fork()
-        except OSError:  # no process to be had
-            os.close(r)
-            os.close(w)
-            return
-        if self.pid:
-            os.close(w)
-            self.pipe = open(r, "rb")
-            return
-        try:  # the child
-            os.close(r)
-            for job in jobs:
-                out = work(job).encode()
-                frame = memoryview(len(out).to_bytes(4, "little") + out)
-                while frame:
-                    frame = frame[os.write(w, frame):]
-        finally:
-            os._exit(0)
-
-    def result(self, job) -> str:
-        """``work(job)``: the child's, for one of its jobs while its results
-        arrive whole, else computed here."""
-        if self.pipe and job in self.jobs:
-            head = self.pipe.read(4)  # waits for the child; short once it is gone
-            size = int.from_bytes(head, "little")
-            out = self.pipe.read(size) if len(head) == 4 else b""
-            if len(head) == 4 and len(out) == size:
-                return out.decode()
-            self.pipe.close()
-            self.pipe = None
-        return self.work(job)
-
-    def __enter__(self) -> "_Forked":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        """Kill the child, which may be computing jobs no one will ask for,
-        and reap it."""
-        if self.pipe:
-            self.pipe.close()
-            self.pipe = None
-        if self.pid:
+    pid, pipe = 0, None  # the child's results, until one fails to arrive
+    try:
+        if _fork_pays(share, least):
+            try:
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to be had
+                    os.close(r)
+                    os.close(w)
+                    raise
+            except OSError:  # no descriptor or process: this process does every job
+                pass
+            else:
+                if not pid:  # the child
+                    try:
+                        os.close(r)
+                        for job in theirs:
+                            out = work(job).encode()
+                            frame = memoryview(len(out).to_bytes(4, "little") + out)
+                            while frame:
+                                frame = frame[os.write(w, frame):]
+                    finally:
+                        os._exit(0)
+                os.close(w)
+                pipe = open(r, "rb")
+        ahead = iter(theirs)  # the child's jobs, in the order it writes them
+        their_next = next(ahead, None)
+        for job in jobs:
+            if pipe and job == their_next:
+                their_next = next(ahead, None)
+                head = pipe.read(4)  # waits for the child; short once it is gone
+                size = int.from_bytes(head, "little")
+                out = pipe.read(size) if len(head) == 4 else b""
+                if len(head) == 4 and len(out) == size:
+                    yield out.decode()
+                    continue
+                pipe.close()
+                pipe = None
+            yield work(job)
+    finally:
+        if pipe:
+            pipe.close()
+        if pid:
             import signal
 
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _fork_pays(share: int, least: int) -> bool:
@@ -479,26 +474,20 @@ def _fork_pays(share: int, least: int) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Check a = 3..a_max in order.  Each Zeckendorf block k is walked once
-    over the sweep, and the bijection at a is the conjunction of blocks
-    3..a.  A forked child walks the blocks k = top, top - 3, ..., down to 3,
-    4 or 5 (floor(f_top / 2) of the f_top - 1 residues); the parent walks the
-    others as it checks each a."""
-    outcomes: list[_VerifyOutcome] = []
+    """Check a = 3..a_max in order.  Each Zeckendorf block k <= top is walked
+    once over the sweep, and the bijection at a is the conjunction of blocks
+    3..a, which takes every block's result even after one has failed.  A
+    forked child walks the blocks k = top, top - 3, ..., down to 3, 4 or 5
+    (floor(f_top / 2) of the f_top - 1 residues); the parent walks the others
+    as it checks each a, and takes the child's block a when it checks a."""
     top = min(args.a_max, fib_family.MAX_BIJECTION_INDEX)
     theirs = range(3 + (top - 3) % 3, top + 1, 3)  # ..., top - 3, top: from 3, 4 or 5
     share = sum(fib(k - 2) for k in theirs)  # block k holds f_{k-2} residues
-    with _Forked(lambda k: str(fib_family.zeckendorf_block_check(k)),
-                 theirs, share, FORK_MIN_RESIDUES) as blocks:
-        holds = True  # blocks 3..k all check out
-
-        def bijection(k: int) -> bool:
-            nonlocal holds
-            holds = blocks.result(k) == "True" and holds  # each k asked, failed or not
-            return holds
-
-        for a in range(3, args.a_max + 1):
-            outcomes.append(_verify_one(a, args, bijection))
+    with closing(_forked(lambda k: str(fib_family.zeckendorf_block_check(k)),
+                         range(3, top + 1), theirs, share, FORK_MIN_RESIDUES)) as blocks:
+        holds = accumulate((r == "True" for r in blocks), and_)  # blocks 3..a all hold
+        outcomes = [_verify_one(a, args, lambda k: next(holds))
+                    for a in range(3, args.a_max + 1)]
 
     failed = [o for o in outcomes if o.failures]
     detail = print if args.format == "text" else _note

@@ -122,25 +122,26 @@ def _refuse_oversized_table(a: int, table_bound: int) -> None:
         )
 
 
-def _refuse_apery_table(a: int, table_bound: int) -> int | None:
+def _refuse_apery_table(a: int, table_bound: int) -> bool:
     """Raise what :func:`family_apery` refuses, before any beta is computed,
-    and else return the bytes of physical memory read for it.
+    and else return whether physical memory holds a second such table beside
+    the first.
 
     Past ``table_bound``, TableTooLarge.  Past physical memory, at
     APERY_ENTRY_BYTES per entry, ResourceLimit: no bound can help a table
-    that no run can hold.  None is returned, and nothing refused for memory,
-    where the platform does not report it; a <= 2, whose one-entry table is
-    never refused, returns None too.
+    that no run can hold.  Where the platform does not report its memory,
+    nothing is refused for memory and a second table is taken to fit, as it
+    does at a <= 2, whose one-entry table is never refused.
     """
     if a <= 2:
-        return None
+        return True
     _refuse_oversized_table(a, table_bound)
     try:
         pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        return None
+        return True
     if pages <= 0 or page <= 0:
-        return None
+        return True
     fa = fib(a)
     need, memory = fa * APERY_ENTRY_BYTES, pages * page
     if need > memory:
@@ -148,7 +149,7 @@ def _refuse_apery_table(a: int, table_bound: int) -> int | None:
             f"Apery table of f_{a} = {fa} entries needs {need} bytes, "
             f"over the {memory} bytes of physical memory"
         )
-    return memory
+    return 2 * need <= memory
 
 
 def family_frobenius(a: int) -> int:

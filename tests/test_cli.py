@@ -11,8 +11,9 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import closing, redirect_stderr, redirect_stdout
 from functools import partial
 from math import comb
 from pathlib import Path
@@ -542,21 +543,22 @@ def test_verify_childs_blocks_hold_half_the_residues(capsys, monkeypatch):
     # blocks 3..top hold the f_top - 1 residues 1..f_top - 1; the child's top,
     # top - 3, ..., down to 3, 4 or 5, hold floor(f_top / 2) of them
     made = []
-    real = cli._Forked
+    real = cli._forked
 
-    def spy(work, jobs, share, least):
-        made.append((list(jobs), share))
-        return real(work, jobs, share, least)
+    def spy(work, jobs, theirs, share, least):
+        made.append((list(jobs), list(theirs), share))
+        return real(work, jobs, theirs, share, least)
 
-    monkeypatch.setattr(cli, "_Forked", spy)
+    monkeypatch.setattr(cli, "_forked", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(fib_family, "zeckendorf_block_check", lambda k: True)
     for top in range(3, 26):
         assert run(capsys, "verify", str(top), "--oracle-bound", "1",
                    "--table-bound", "1")[0] == EXIT_OK
-        jobs, share = made.pop()
-        assert jobs == sorted(range(top, 2, -3))
-        assert share == sum(fib(k - 2) for k in jobs) == fib(top) // 2
+        jobs, theirs, share = made.pop()
+        assert jobs == list(range(3, top + 1))
+        assert theirs == sorted(range(top, 2, -3))
+        assert share == sum(fib(k - 2) for k in theirs) == fib(top) // 2
 
 
 def test_verify_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, forks):
@@ -618,6 +620,33 @@ def test_verify_bad_key_in_the_childs_share_fails_from_its_block_on(
     failed = {int(line.split()[0][2:]) for line in out.splitlines() if " FAIL" in line}
     assert failed == set(range(k, a_max + 1))
     assert out.count("  mismatch:") == out.count("  mismatch: zeckendorf-bijection\n")
+    assert len(forks) == (cpus == 2)
+    _no_child_left()
+
+
+def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, tmp_path, cpus, forks):
+    # x = f_4 = 3 opens block 5, one of the parent's under verify 12; every
+    # later block is still walked, once, by whichever process owns it, and
+    # each walked k is appended to one file opened before the run
+    monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", 0)
+    real_indices, real_check = fib_family.zeckendorf_indices, fib_family.zeckendorf_block_check
+    monkeypatch.setattr(fib_family, "zeckendorf_indices",
+                        lambda y: (2,) + real_indices(y) if y == fib(4) else real_indices(y))
+    log = tmp_path / "blocks"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def check(k):
+        os.write(fd, b"%d\n" % k)
+        return real_check(k)
+
+    monkeypatch.setattr(fib_family, "zeckendorf_block_check", check)
+    try:
+        code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1")
+    finally:
+        os.close(fd)
+    assert code == EXIT_MISMATCH
+    assert out.count("  mismatch: zeckendorf-bijection\n") == 8  # a = 5..12
+    assert sorted(map(int, log.read_bytes().split())) == list(range(3, 13))
     assert len(forks) == (cpus == 2)
     _no_child_left()
 
@@ -699,15 +728,15 @@ def test_forked_results_that_never_arrive_whole_are_computed_here(monkeypatch, f
         return "job %d" % j
 
     jobs = ["job %d" % j for j in range(5)]
-    with cli._Forked(work, range(5), 1, 1) as child:
-        assert [child.result(j) for j in range(5)] == jobs
+    with closing(cli._forked(work, range(5), range(5), 1, 1)) as results:
+        assert list(results) == jobs
     assert here == [2, 3, 4]
     assert len(forks) == 1
     _no_child_left()
     # a child never forked leaves every job to this process
     here.clear()
-    with cli._Forked(work, range(5), 1, 2) as child:
-        assert [child.result(j) for j in range(5)] == jobs
+    with closing(cli._forked(work, range(5), range(5), 1, 2)) as results:
+        assert list(results) == jobs
     assert here == [0, 1, 2, 3, 4]
     assert len(forks) == 1
     _no_child_left()
@@ -723,11 +752,48 @@ def test_forked_jobs_not_the_childs_are_computed_here(monkeypatch, forks):
         here.append(j)
         return "job %d" % j
 
-    with cli._Forked(work, range(1, 5, 2), 1, 1) as child:
-        assert [child.result(j) for j in range(5)] == ["job %d" % j for j in range(5)]
+    with closing(cli._forked(work, range(5), range(1, 5, 2), 1, 1)) as results:
+        assert list(results) == ["job %d" % j for j in range(5)]
     assert here == [0, 2, 4]
     assert len(forks) == 1
     _no_child_left()
+
+
+def test_forked_closed_after_its_first_result_leaves_no_child_and_no_pipe(monkeypatch,
+                                                                          forks):
+    # the child writes job 0, then works on job 1 until it is killed
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent, real_pipe = os.getpid(), os.pipe
+    made = []
+
+    def pipe():
+        made.extend(real_pipe())
+        return tuple(made)
+
+    def work(j):
+        if j and os.getpid() != parent:
+            time.sleep(60)
+        return "job %d" % j
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    results = cli._forked(work, range(5), range(5), 1, 1)
+    with closing(results):
+        assert next(results) == "job 0"
+        closed = time.monotonic()
+    assert time.monotonic() - closed < 30  # killed, not waited for
+    assert len(forks) == 1
+    _no_child_left()
+    for fd in made:  # both ends closed in this process
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_forked_closed_before_it_starts_forks_nothing(monkeypatch, forks):
+    # the fork is made at the first result
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with closing(cli._forked(str, range(5), range(5), 1, 1)):
+        pass
+    assert forks == []
 
 
 # -- apery on two CPUs ------------------------------------------------------------
@@ -790,22 +856,23 @@ def test_apery_childs_share_is_the_rows_of_its_blocks(capsys, monkeypatch):
     # the share is computed in O(1) from f_a and the block size; the sum over
     # the child's blocks is its definition
     made = []
-    real = cli._Forked
+    real = cli._forked
 
-    def spy(work, jobs, share, least):
-        made.append((jobs, share))
-        return real(work, jobs, share, least)
+    def spy(work, jobs, theirs, share, least):
+        made.append((list(jobs), list(theirs), share))
+        return real(work, jobs, theirs, share, least)
 
-    monkeypatch.setattr(cli, "_Forked", spy)
+    monkeypatch.setattr(cli, "_forked", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     for size in (1, 2, 3, 16, 100, 256):
         monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", size)
         for a in (0, 1, 2, 3, 4, 5, 10, 12, 16):
             assert run(capsys, "apery", str(a), "--format", "csv")[0] == EXIT_OK
-            jobs, share = made.pop()
+            jobs, theirs, share = made.pop()
             n = max(fib(a), 1)
-            assert list(jobs) == list(range(size, n, 2 * size))
-            assert share == sum(min(size, n - start) for start in jobs) == _apery_share(a, size)
+            assert jobs == list(range(0, n, size))
+            assert theirs == list(range(size, n, 2 * size))
+            assert share == sum(min(size, n - start) for start in theirs) == _apery_share(a, size)
 
 
 @pytest.mark.parametrize("argv", ["apery 40", "apery 60 --table-bound 1000000000000000"])

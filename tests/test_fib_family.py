@@ -162,6 +162,16 @@ def _sysconf_raises(error):
 def test_apery_table_is_not_refused_where_memory_is_not_reported(monkeypatch, sysconf):
     monkeypatch.setattr(fib_family.os, "sysconf", sysconf)
     assert family_apery(22).n == fib(22)
+    assert fib_family._refuse_apery_table(22, DEFAULT_TABLE_BOUND)  # a second fits too
+
+
+def test_apery_refusal_answers_whether_a_second_table_fits(monkeypatch):
+    need = fib(22) * fib_family.APERY_ENTRY_BYTES
+    for memory, two in ((need, False), (2 * need - 1, False), (2 * need, True)):
+        _physical_memory(monkeypatch, memory)
+        assert fib_family._refuse_apery_table(22, DEFAULT_TABLE_BOUND) is two
+    _physical_memory(monkeypatch, 1)  # a <= 2: one entry, never refused
+    assert all(fib_family._refuse_apery_table(a, 0) is True for a in range(3))
 
 
 def _as_bits(ws) -> int:
