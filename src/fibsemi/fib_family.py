@@ -130,8 +130,8 @@ def _refuse_apery_table(a: int, table_bound: int) -> bool:
     Past ``table_bound``, TableTooLarge.  Past physical memory, at
     APERY_ENTRY_BYTES per entry, ResourceLimit: no bound can help a table
     that no run can hold.  Where the platform does not report its memory,
-    nothing is refused for memory and a second table is taken to fit, as it
-    does at a <= 2, whose one-entry table is never refused.
+    nothing is refused for memory and a second table is taken to fit, as at
+    a <= 2, whose one-entry table is never refused.
     """
     if a <= 2:
         return True
