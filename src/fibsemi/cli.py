@@ -52,22 +52,20 @@ EXIT_INTERNAL = 4
 # doubles the memory of apery 22's 17,711-entry table.
 APERY_BLOCK_ROWS = 256
 
-# Fewest residues in the forked child's share of verify's Zeckendorf walk for
-# the fork to pay: floor(f_19 / 2), the share at verify 19.  In process, fork
-# against no fork, 30 alternating fresh runs each (2 CPUs, CPython 3.11.7):
-# verify 19 ran 6.88 against 7.04 ms, faster in 18/30, then in 22/30 and
-# 21/30; verify 20 (3,382) was faster in 30/30 and 29/30 by 1.7 ms; verify 18
-# (1,292) lost 27/30 and verify 17 (798) 28/30, each by 0.8 ms.
-FORK_MIN_RESIDUES = 2_090
+# Least min(a_max, 25) at which verify's forked child, walking every third
+# Zeckendorf block, pays.  In process, fork against no fork, 30 alternating
+# fresh runs each (2 CPUs, CPython 3.11.7): verify 19 ran 6.88 against 7.04 ms,
+# faster in 18/30, then in 22/30 and 21/30; verify 20 was faster in 30/30 and
+# 29/30 by 1.7 ms; verify 18 lost 27/30 and verify 17 28/30, each by 0.8 ms.
+VERIFY_FORK_MIN_INDEX = 19
 
-# Fewest rows in the forked child's share of apery's blocks for the fork to
-# pay: the share at apery 22, its odd blocks of 256 rows.  The child builds
-# its own table, so each process builds one beside the other.  In process,
-# csv written to a pipe, fork against no fork, 30 alternating fresh runs each
-# (2 CPUs, CPython 3.11.7): apery 22 ran 8.70 against 9.01 ms, faster in
-# 26/30, then in 29/30 and 25/30; apery 23 (14,321) was faster in 27/30 and
-# 29/30 by 1.4 ms; apery 21 (5,376) lost 29/30, 30/30 and 30/30 by 0.4 ms.
-APERY_FORK_MIN_ROWS = 8_751
+# Least a at which apery's forked child, rendering the odd blocks, pays.  The
+# child builds its own table, so each process builds one beside the other.
+# In process, csv written to a pipe, fork against no fork, 30 alternating
+# fresh runs each (2 CPUs, CPython 3.11.7): apery 22 ran 8.70 against 9.01 ms,
+# faster in 26/30, then in 29/30 and 25/30; apery 23 was faster in 27/30 and
+# 29/30 by 1.4 ms; apery 21 lost 29/30, 30/30 and 30/30 by 0.4 ms.
+APERY_FORK_MIN_INDEX = 22
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
 # a FamilySummary's values in TABLE_FIELDS order
@@ -240,11 +238,11 @@ def cmd_apery(args: argparse.Namespace) -> int:
     are one list, x, beta and w of each row in turn, filled by three slice
     assignments.  Every refusal is made first, and ``fib_family`` says
     whether two tables fit in physical memory.  Then the parent writes each
-    block as :func:`_forked` yields it, in order: where the fork pays and two
-    tables fit, a forked child renders the odd blocks and the parent the even
-    ones.  The fork is made at the first block, and each process builds its
-    own table on its first block, after the fork, so no page of a table is
-    copied on write."""
+    block as :func:`_forked` yields it, in order: from a = APERY_FORK_MIN_INDEX
+    on, where two tables fit, a forked child renders the odd blocks and the
+    parent the even ones.  The fork is made at the first
+    block, and each process builds its own table on its first block, after
+    the fork, so no page of a table is copied on write."""
     a, size = args.a, APERY_BLOCK_ROWS
     room_for_two = fib_family._refuse_apery_table(a, args.table_bound)
     n = max(fib(a), 1)  # the table's rows: one for a <= 2, else f_a
@@ -267,12 +265,9 @@ def cmd_apery(args: argparse.Namespace) -> int:
         cells[2::3] = table()[start:stop]
         return (sep if start else head) + (short if stop - start < size else block) % tuple(cells)
 
-    q, r = divmod(n, size)
-    share = (q // 2) * size + (r if q % 2 else 0)  # the rows of the odd blocks
-    if not room_for_two:
-        share = -1  # no room for the child's table beside the parent's: never forks
     starts = range(0, n, size)
-    with closing(_forked(render, starts, starts[1::2], share, APERY_FORK_MIN_ROWS)) as blocks:
+    theirs = starts[1::2] if a >= APERY_FORK_MIN_INDEX and room_for_two else ()
+    with closing(_forked(render, starts, theirs)) as blocks:
         out = sys.stdout
         for text in blocks:
             out.write(text)
@@ -382,11 +377,11 @@ def _verify_one(a: int, args: argparse.Namespace, bijection) -> _VerifyOutcome:
     return out
 
 
-def _forked(work, jobs, theirs, share: int, least: int):
+def _forked(work, jobs, theirs):
     """Yield ``work(job)``, a string, for each of ``jobs`` in order; the jobs
     in ``theirs``, some of ``jobs`` in the same order, are computed ahead by
-    a forked child on a second CPU when :func:`_fork_pays` for ``share``
-    against ``least``.
+    a forked child on a second CPU when ``theirs`` is nonempty and
+    :func:`_can_fork`.  A caller whose child should not run passes ``()``.
 
     The fork is made at the first result.  The child computes ``theirs`` in
     order and writes each result, encoded, to a pipe as a 4-byte length and
@@ -404,7 +399,7 @@ def _forked(work, jobs, theirs, share: int, least: int):
     """
     pid, pipe = 0, None  # the child's results, until one fails to arrive
     try:
-        if _fork_pays(share, least):
+        if theirs and _can_fork():
             try:
                 r, w = os.pipe()
                 try:
@@ -452,14 +447,13 @@ def _forked(work, jobs, theirs, share: int, least: int):
             os.waitpid(pid, 0)
 
 
-def _fork_pays(share: int, least: int) -> bool:
-    """Whether a forked child that takes ``share`` of the work beside this
-    process saves time, and can be reaped: ``os.fork`` exists, two or more
-    CPUs are usable, no second thread is running (the child would hold a copy
-    of this one only), SIGCHLD is not ignored (the kernel would reap the child
-    itself, and its pid could be reused before the parent kills it), and the
-    share is at least ``least``, the measured break-even."""
-    if share < least or not hasattr(os, "fork"):
+def _can_fork() -> bool:
+    """Whether a forked child can run beside this process, and be reaped:
+    ``os.fork`` exists, two or more CPUs are usable, no second thread is
+    running (the child would hold a copy of this one only), and SIGCHLD is
+    not ignored (the kernel would reap the child itself, and its pid could be
+    reused before the parent kills it)."""
+    if not hasattr(os, "fork"):
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -476,15 +470,16 @@ def _fork_pays(share: int, least: int) -> bool:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Check a = 3..a_max in order.  Each Zeckendorf block k <= top is walked
     once over the sweep, and the bijection at a is the conjunction of blocks
-    3..a, which takes every block's result even after one has failed.  A
-    forked child walks the blocks k = top, top - 3, ..., down to 3, 4 or 5
-    (floor(f_top / 2) of the f_top - 1 residues); the parent walks the others
-    as it checks each a, and takes the child's block a when it checks a."""
+    3..a, which takes every block's result even after one has failed.  Where
+    top >= VERIFY_FORK_MIN_INDEX, a forked child walks the blocks k = top,
+    top - 3, ..., down to 6, 7 or 8 (floor(f_top / 2) - 1 or - 2 of the
+    f_top - 1 residues); the parent walks the others, 3, 4 and 5 first, so
+    it has its own blocks to walk while the child starts, and takes the
+    child's block a when it checks a."""
     top = min(args.a_max, fib_family.MAX_BIJECTION_INDEX)
-    theirs = range(3 + (top - 3) % 3, top + 1, 3)  # ..., top - 3, top: from 3, 4 or 5
-    share = sum(fib(k - 2) for k in theirs)  # block k holds f_{k-2} residues
+    theirs = range(top, 5, -3)[::-1] if top >= VERIFY_FORK_MIN_INDEX else ()
     with closing(_forked(lambda k: str(fib_family.zeckendorf_block_check(k)),
-                         range(3, top + 1), theirs, share, FORK_MIN_RESIDUES)) as blocks:
+                         range(3, top + 1), theirs)) as blocks:
         holds = accumulate((r == "True" for r in blocks), and_)  # blocks 3..a all hold
         outcomes = [_verify_one(a, args, lambda k: next(holds))
                     for a in range(3, args.a_max + 1)]

@@ -531,7 +531,7 @@ def test_verify_walks_each_residue_once(capsys, monkeypatch, tmp_path, forks):
 
 
 def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
-    # a = 25 is MAX_BIJECTION_INDEX: the child walks blocks 4, 7, ..., 25
+    # a = 25 is MAX_BIJECTION_INDEX: the child walks blocks 7, 10, ..., 25
     code, out, _ = run(capsys, "verify", "25", "--format", "csv")
     assert code == EXIT_OK
     assert out == (GOLDEN / "verify_25.csv").read_text()
@@ -539,69 +539,88 @@ def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
     _no_child_left()
 
 
-def test_verify_childs_blocks_hold_half_the_residues(capsys, monkeypatch):
-    # blocks 3..top hold the f_top - 1 residues 1..f_top - 1; the child's top,
-    # top - 3, ..., down to 3, 4 or 5, hold floor(f_top / 2) of them
+def _spy_on_forked(monkeypatch, real=cli._forked):
+    """The (jobs, theirs) of each ``_forked`` call, as lists, made on one CPU."""
     made = []
-    real = cli._forked
 
-    def spy(work, jobs, theirs, share, least):
-        made.append((list(jobs), list(theirs), share))
-        return real(work, jobs, theirs, share, least)
+    def spy(work, jobs, theirs):
+        made.append((list(jobs), list(theirs)))
+        return real(work, jobs, theirs)
 
     monkeypatch.setattr(cli, "_forked", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    return made
+
+
+def test_verify_childs_blocks_hold_half_the_residues(capsys, monkeypatch):
+    # blocks 3..top hold the f_top - 1 residues 1..f_top - 1; the child's top,
+    # top - 3, ..., down to 6, 7 or 8, hold floor(f_top / 2) of them less the
+    # f_1, f_2 or f_3 of the lowest of 3, 4 and 5, which the parent walks first
+    made = _spy_on_forked(monkeypatch)
+    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
     monkeypatch.setattr(fib_family, "zeckendorf_block_check", lambda k: True)
     for top in range(3, 26):
         assert run(capsys, "verify", str(top), "--oracle-bound", "1",
                    "--table-bound", "1")[0] == EXIT_OK
-        jobs, theirs, share = made.pop()
+        jobs, theirs = made.pop()
         assert jobs == list(range(3, top + 1))
-        assert theirs == sorted(range(top, 2, -3))
-        assert share == sum(fib(k - 2) for k in theirs) == fib(top) // 2
+        assert theirs == sorted(range(top, 5, -3))
+        lowest = 3 + (top - 3) % 3
+        assert sum(fib(k - 2) for k in theirs) == fib(top) // 2 - fib(lowest - 2)
+    assert fib(24) // 2 - fib(1) == 23_183  # verify 24's child
+
+
+def test_verify_forks_where_the_parent_did(capsys, monkeypatch):
+    # the rule this replaced: fork where the child's floor(f_top / 2) residues
+    # reach 2,090, the count at verify 19
+    made = _spy_on_forked(monkeypatch)
+    monkeypatch.setattr(fib_family, "zeckendorf_block_check", lambda k: True)
+    for a_max in range(31):
+        assert run(capsys, "verify", str(a_max), "--oracle-bound", "1",
+                   "--table-bound", "1")[0] == EXIT_OK
+        _, theirs = made.pop()
+        assert bool(theirs) == (fib(min(a_max, 25)) // 2 >= 2_090), a_max
 
 
 def test_verify_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    share = fib(19) // 2  # the child's blocks 4, 7, ..., 19 hold f_2 + f_5 + ... + f_17 residues
-    assert cli.FORK_MIN_RESIDUES == share
-    for least, forked in ((share, 1), (share + 1, 0)):
-        monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", least)
+    assert cli.VERIFY_FORK_MIN_INDEX == 19
+    for index, forked in ((19, 1), (20, 0)):
+        monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", index)
         forks.clear()
         assert run(capsys, "verify", "19", "--oracle-bound", "1")[0] == EXIT_OK
         assert len(forks) == forked
 
 
 def test_verify_forks_only_where_a_child_can_run_beside_it(monkeypatch):
-    least = cli.FORK_MIN_RESIDUES
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli._fork_pays(least, least) and not cli._fork_pays(least - 1, least)
+    assert cli._can_fork()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert not cli._fork_pays(least, least)
+    assert not cli._can_fork()
     # without an affinity call, the CPU count decides
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     for count, pays in ((1, False), (None, False), (2, True)):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert cli._fork_pays(least, least) == pays
+        assert cli._can_fork() == pays
     # a second thread would not be copied into the child
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert not cli._fork_pays(least, least)
+        assert not cli._can_fork()
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert cli._fork_pays(least, least)
+    assert cli._can_fork()
     # an ignored SIGCHLD, which exec passes on, has the kernel reap the child
     saved = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        assert not cli._fork_pays(least, least)
+        assert not cli._can_fork()
     finally:
         signal.signal(signal.SIGCHLD, saved)
     monkeypatch.delattr(os, "fork")
-    assert not cli._fork_pays(least, least)
+    assert not cli._can_fork()
 
 
 @pytest.mark.parametrize("a_max, k", [(25, 22), (24, 24), (25, 23), (25, 24), (24, 23)])
@@ -628,7 +647,7 @@ def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, tmp_path,
     # x = f_4 = 3 opens block 5, one of the parent's under verify 12; every
     # later block is still walked, once, by whichever process owns it, and
     # each walked k is appended to one file opened before the run
-    monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", 0)
+    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
     real_indices, real_check = fib_family.zeckendorf_indices, fib_family.zeckendorf_block_check
     monkeypatch.setattr(fib_family, "zeckendorf_indices",
                         lambda y: (2,) + real_indices(y) if y == fib(4) else real_indices(y))
@@ -653,7 +672,7 @@ def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, tmp_path,
 
 def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
         capsys, monkeypatch, cpus, forks):
-    monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", 0)
+    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
     real = fib_family.zeckendorf_indices
 
     def broken(x):
@@ -671,7 +690,7 @@ def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
 
 
 def test_verify_out_of_memory_mid_sweep_leaves_no_child(capsys, monkeypatch, cpus, forks):
-    monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", 0)
+    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
     real = NumericalSemigroup.summary
 
     def summary(self):
@@ -698,8 +717,8 @@ def _emfile():
 def test_no_pipe_means_no_child(capsys, monkeypatch, forks, argv, snapshot):
     # a process out of descriptors does every job itself, as one out of processes does
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cli, "FORK_MIN_RESIDUES", 0)
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
     monkeypatch.setattr(os, "pipe", _emfile)
     code, out, err = run(capsys, *argv.split())
@@ -728,14 +747,15 @@ def test_forked_results_that_never_arrive_whole_are_computed_here(monkeypatch, f
         return "job %d" % j
 
     jobs = ["job %d" % j for j in range(5)]
-    with closing(cli._forked(work, range(5), range(5), 1, 1)) as results:
+    with closing(cli._forked(work, range(5), range(5))) as results:
         assert list(results) == jobs
     assert here == [2, 3, 4]
     assert len(forks) == 1
     _no_child_left()
     # a child never forked leaves every job to this process
     here.clear()
-    with closing(cli._forked(work, range(5), range(5), 1, 2)) as results:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with closing(cli._forked(work, range(5), range(5))) as results:
         assert list(results) == jobs
     assert here == [0, 1, 2, 3, 4]
     assert len(forks) == 1
@@ -752,11 +772,26 @@ def test_forked_jobs_not_the_childs_are_computed_here(monkeypatch, forks):
         here.append(j)
         return "job %d" % j
 
-    with closing(cli._forked(work, range(5), range(1, 5, 2), 1, 1)) as results:
+    with closing(cli._forked(work, range(5), range(1, 5, 2))) as results:
         assert list(results) == ["job %d" % j for j in range(5)]
     assert here == [0, 2, 4]
     assert len(forks) == 1
     _no_child_left()
+
+
+def test_forked_with_no_jobs_of_the_childs_forks_nothing(monkeypatch, forks):
+    # a caller whose child should not run passes theirs = (), even on two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    here = []
+
+    def work(j):
+        here.append(j)
+        return "job %d" % j
+
+    with closing(cli._forked(work, range(5), ())) as results:
+        assert list(results) == ["job %d" % j for j in range(5)]
+    assert here == [0, 1, 2, 3, 4]
+    assert forks == []
 
 
 def test_forked_closed_after_its_first_result_leaves_no_child_and_no_pipe(monkeypatch,
@@ -776,7 +811,7 @@ def test_forked_closed_after_its_first_result_leaves_no_child_and_no_pipe(monkey
         return "job %d" % j
 
     monkeypatch.setattr(os, "pipe", pipe)
-    results = cli._forked(work, range(5), range(5), 1, 1)
+    results = cli._forked(work, range(5), range(5))
     with closing(results):
         assert next(results) == "job 0"
         closed = time.monotonic()
@@ -791,17 +826,17 @@ def test_forked_closed_after_its_first_result_leaves_no_child_and_no_pipe(monkey
 def test_forked_closed_before_it_starts_forks_nothing(monkeypatch, forks):
     # the fork is made at the first result
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    with closing(cli._forked(str, range(5), range(5), 1, 1)):
+    with closing(cli._forked(str, range(5), range(5))):
         pass
     assert forks == []
 
 
 # -- apery on two CPUs ------------------------------------------------------------
 
-def _apery_share(a: int, size: int = 256) -> int:
-    """Rows in apery a's odd blocks of ``size`` rows: the forked child's."""
-    n = fib(a)
-    return sum(min(size, n - start) for start in range(size, n, 2 * size))
+def _apery_share(a: int) -> int:
+    """Rows in apery a's odd blocks of 256 rows: the forked child's."""
+    n = max(fib(a), 1)
+    return sum(min(256, n - start) for start in range(256, n, 512))
 
 
 @pytest.mark.parametrize("fmt, snapshot", [
@@ -811,19 +846,19 @@ def _apery_share(a: int, size: int = 256) -> int:
 def test_apery_output_is_the_same_forked_or_not(capsys, monkeypatch, cpus, forks,
                                                 fmt, snapshot, size):
     # apery 12 has 144 rows: the child renders the odd blocks of 16 or 100 rows,
-    # and has no block at all when one block of 256 holds them all
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    # and is not forked when one block of 256 holds them all
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", size)
     code, out, err = run(capsys, "apery", "12", "--format", fmt)
     assert (code, out, err) == (EXIT_OK, (GOLDEN / snapshot).read_text(), "")
-    assert len(forks) == (cpus == 2)
+    assert len(forks) == (cpus == 2 and size < 144)
     _no_child_left()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
 def test_apery_past_the_break_even_is_the_same_forked_or_not(capsys, monkeypatch,
                                                              forks, fmt):
-    assert _apery_share(25) > cli.APERY_FORK_MIN_ROWS
+    assert 25 > cli.APERY_FORK_MIN_INDEX
     outputs = []
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -840,39 +875,39 @@ def test_apery_past_the_break_even_is_the_same_forked_or_not(capsys, monkeypatch
 
 def test_apery_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, forks):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # at the defaults, apery 22's odd blocks are the break-even and apery 21's fall short
-    assert cli.APERY_FORK_MIN_ROWS == _apery_share(22) > _apery_share(21)
-    monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
-    share = _apery_share(12, 16)  # blocks 1, 3, 5, 7 of 16 rows
-    assert share == 64
-    for least, forked in ((share, 1), (share + 1, 0)):
-        monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", least)
+    assert cli.APERY_FORK_MIN_INDEX == 22
+    for index, forked in ((22, 1), (23, 0)):
+        monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", index)
         forks.clear()
-        assert run(capsys, "apery", "12", "--format", "csv")[0] == EXIT_OK
+        assert run(capsys, "apery", "22", "--format", "csv")[0] == EXIT_OK
         assert len(forks) == forked
 
 
+def test_apery_forks_where_the_parent_did(capsys, monkeypatch):
+    # the rule this replaced: fork where the child's odd blocks of 256 rows
+    # reach 8,751 rows, the count at apery 22.  Memory is not reported, so
+    # two tables fit, and no table is built: the spy hands back no block
+    made = _spy_on_forked(monkeypatch, real=lambda work, jobs, theirs: (x for x in ()))
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 0, "SC_PAGE_SIZE": 1}.__getitem__)
+    for a in range(31):
+        assert run(capsys, "apery", str(a), "--format", "csv",
+                   "--table-bound", str(fib(30)))[0] == EXIT_OK
+        _, theirs = made.pop()
+        assert bool(theirs) == (_apery_share(a) >= 8_751), a
+
+
 def test_apery_childs_share_is_the_rows_of_its_blocks(capsys, monkeypatch):
-    # the share is computed in O(1) from f_a and the block size; the sum over
-    # the child's blocks is its definition
-    made = []
-    real = cli._forked
-
-    def spy(work, jobs, theirs, share, least):
-        made.append((list(jobs), list(theirs), share))
-        return real(work, jobs, theirs, share, least)
-
-    monkeypatch.setattr(cli, "_forked", spy)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    # the child's blocks are the odd ones
+    made = _spy_on_forked(monkeypatch)
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
     for size in (1, 2, 3, 16, 100, 256):
         monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", size)
         for a in (0, 1, 2, 3, 4, 5, 10, 12, 16):
             assert run(capsys, "apery", str(a), "--format", "csv")[0] == EXIT_OK
-            jobs, theirs, share = made.pop()
+            jobs, theirs = made.pop()
             n = max(fib(a), 1)
             assert jobs == list(range(0, n, size))
             assert theirs == list(range(size, n, 2 * size))
-            assert share == sum(min(size, n - start) for start in theirs) == _apery_share(a, size)
 
 
 @pytest.mark.parametrize("argv", ["apery 40", "apery 60 --table-bound 1000000000000000"])
@@ -909,7 +944,7 @@ def test_apery_forks_before_either_process_builds_its_table(capsys, monkeypatch,
                                                             cpus, forks):
     # each process builds the table it renders: one family_apery call in each,
     # after the fork, logged with its pid to one file opened before the run
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
     log = tmp_path / "calls"
     fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
@@ -947,7 +982,7 @@ def test_apery_child_out_of_memory_for_its_table_changes_no_byte(capsys, monkeyp
     # the child builds its table on its first job; when it cannot, it sends
     # nothing, and the parent renders every block from its own table
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
     parent, real = os.getpid(), fib_family.family_apery
 
@@ -965,7 +1000,7 @@ def test_apery_child_out_of_memory_for_its_table_changes_no_byte(capsys, monkeyp
 
 def test_apery_render_raising_in_the_childs_block_is_one_internal_error(
         capsys, monkeypatch, cpus, forks):
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
     real = cli.beta
 
@@ -989,7 +1024,7 @@ def test_apery_child_gone_after_k_blocks_changes_no_byte(capsys, monkeypatch, fo
     # the child renders blocks 1, 3, 5, 7 of apery 12's 16-row blocks, and
     # exits as it starts block 2k + 1: the parent renders that block and the rest
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
     parent, real = os.getpid(), cli.beta
 
