@@ -13,6 +13,7 @@ reported as one stderr line rather than a traceback).
 """
 from __future__ import annotations
 
+import _signal
 import argparse
 import errno
 import os
@@ -54,17 +55,17 @@ APERY_BLOCK_ROWS = 256
 
 # Least min(a_max, 25) at which verify's forked child, walking every third
 # Zeckendorf block, pays.  In process, fork against no fork, 30 alternating
-# fresh runs each (2 CPUs, CPython 3.11.7): verify 19 ran 6.88 against 7.04 ms,
-# faster in 18/30, then in 22/30 and 21/30; verify 20 was faster in 30/30 and
-# 29/30 by 1.7 ms; verify 18 lost 27/30 and verify 17 28/30, each by 0.8 ms.
+# fresh runs each (2 CPUs, CPython 3.11.7): verify 19 ran 13.9 against 15.5 ms,
+# faster in 26/30 twice; verify 18 in 8/30 and 16/30.  While the host ran both
+# processes on one CPU, forking won at most 1/30 at either, 4 ms slower.
 VERIFY_FORK_MIN_INDEX = 19
 
 # Least a at which apery's forked child, rendering the odd blocks, pays.  The
 # child builds its own table, so each process builds one beside the other.
-# In process, csv written to a pipe, fork against no fork, 30 alternating
-# fresh runs each (2 CPUs, CPython 3.11.7): apery 22 ran 8.70 against 9.01 ms,
-# faster in 26/30, then in 29/30 and 25/30; apery 23 was faster in 27/30 and
-# 29/30 by 1.4 ms; apery 21 lost 29/30, 30/30 and 30/30 by 0.4 ms.
+# In process, csv written to a pipe, timed as above: apery 22 was faster in
+# 17/30 (18.7 against 17.6 ms) and 20/30 (20.3 against 22.7 ms); apery 21 in
+# 10/30 and 12/30.  While the host ran both processes on one CPU, forking won
+# at most 1/30 at either, 7 to 14 ms slower.
 APERY_FORK_MIN_INDEX = 22
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
@@ -441,9 +442,7 @@ def _forked(work, jobs, theirs):
         if pipe:
             pipe.close()
         if pid:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, _signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
@@ -452,7 +451,8 @@ def _can_fork() -> bool:
     ``os.fork`` exists, two or more CPUs are usable, no second thread is
     running (the child would hold a copy of this one only), and SIGCHLD is
     not ignored (the kernel would reap the child itself, and its pid could be
-    reused before the parent kills it)."""
+    reused before the parent kills it).  SIGCHLD and SIGKILL come from
+    ``_signal``, loaded at interpreter start-up; ``signal`` is never loaded."""
     if not hasattr(os, "fork"):
         return False
     try:
@@ -462,9 +462,7 @@ def _can_fork() -> bool:
     threading = sys.modules.get("threading")  # not loaded: no thread started by it
     if cpus < 2 or threading is not None and threading.active_count() > 1:
         return False
-    import signal  # only where a fork follows: the import costs 46 KiB of peak RSS
-
-    return signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
+    return _signal.getsignal(_signal.SIGCHLD) != _signal.SIG_IGN
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

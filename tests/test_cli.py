@@ -202,6 +202,12 @@ def test_apery_bound_flag_is_effective(capsys):
                        "--format", "csv")
     assert code == EXIT_OK
     assert len(out.splitlines()) == 1598  # header plus fib(17) = 1597 rows
+    with pytest.raises(SystemExit) as exc:
+        main(["apery", "3", "--table-bound", "0"])
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()[-1]) == (
+        "", "fibsemi apery: error: argument --table-bound: value must be positive")
 
 
 def test_apery_refuses_a_huge_index_in_one_short_line(capsys):
@@ -282,10 +288,15 @@ def test_table_genus_strictly_increasing(capsys):
     assert all(b > a for a, b in zip(genus, genus[1:]))
 
 
-def test_table_invalid_range(capsys):
+def test_table_invalid_range(capsys, monkeypatch):
     code, _, err = run(capsys, "table", "9", "3")
     assert code == EXIT_USAGE
     assert "InvalidRange" in err
+    # without a stderr the refusal is dropped, not written to stdout
+    monkeypatch.setattr(sys, "stderr", None)
+    code = main(["table", "5", "3"])
+    monkeypatch.undo()
+    assert (code, capsys.readouterr()) == (EXIT_USAGE, ("", ""))
 
 
 def test_table_csv_json_value_parity(capsys):
@@ -399,6 +410,12 @@ def test_verify_oracle_bound_is_the_cell_budget(capsys):
     code, out, _ = run(capsys, "verify", "9", "--oracle-bound", "169", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)[-1]["skipped"] == [_budget_skip(34, 169)]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "3", "--oracle-bound", "0"])
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()[-1]) == (
+        "", "fibsemi verify: error: argument --oracle-bound: value must be positive")
 
 
 def test_verify_table_bound_is_f_a(capsys):
@@ -725,6 +742,29 @@ def test_no_pipe_means_no_child(capsys, monkeypatch, forks, argv, snapshot):
     assert (code, out) == (EXIT_OK, (GOLDEN / snapshot).read_text())
     assert "Errno" not in err  # verify's csv has its summary line there
     assert forks == []
+
+
+def test_no_process_means_no_child_and_no_pipe(monkeypatch):
+    # the pipe is made, then the fork fails: both ends are closed again
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real_pipe = os.pipe
+    made = []
+
+    def pipe():
+        made.extend(real_pipe())
+        return tuple(made)
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    assert list(cli._forked(str, range(5), range(5))) == ["0", "1", "2", "3", "4"]
+    assert len(made) == 2
+    for fd in made:
+        with pytest.raises(OSError) as exc:
+            os.fstat(fd)
+        assert exc.value.errno == errno.EBADF
 
 
 @pytest.mark.parametrize("cut", [2, 6], ids=["in-the-length", "in-the-payload"])

@@ -567,4 +567,6 @@ def test_negative_parameter_rejected():
     with pytest.raises(ValueError):
         family_apery(-1)
     with pytest.raises(ValueError):
+        family_apery_bitset(-1)
+    with pytest.raises(ValueError):
         family_apery_value(-1, 0)

@@ -101,6 +101,8 @@ def test_zeckendorf_paper_example():
 def test_zeckendorf_rejects_negative():
     with pytest.raises(ValueError):
         zeckendorf_indices(-1)
+    with pytest.raises(ValueError):  # not the memo's last entry
+        beta(-1)
 
 
 def _assert_one_walk(x):

@@ -16,6 +16,7 @@ from fibsemi import (
 
 def test_reprs():
     sg = NumericalSemigroup([6, 9, 20])
+    assert repr(sg) == "NumericalSemigroup(6, 9, 20)"
     assert repr(family_summary(7)) == (
         "FamilySummary(a=7, embedding_dimension=6, multiplicity=13, frobenius=38, "
         "genus=20, n_count=19, wilf_slack=75)")

@@ -80,19 +80,25 @@ def test_unused_imports_finds_what_is_never_read(source, unused):
 
 # Loaded by none of these runs: dataclasses pulls in inspect, json is only
 # for the JSON output of info, semigroup and verify, and csv only for their CSV
-# output.  typing comes in with some site .pth files, hence -S.
-UNUSED = ("dataclasses", "inspect", "typing", "json", "csv")
+# output.  signal wraps _signal, which start-up loads, in enums; the fork reads
+# _signal.  typing comes in with some site .pth files, hence -S.
+UNUSED = ("dataclasses", "inspect", "typing", "json", "csv", "signal")
 
 
 def loaded_after(*argvs: list[str]) -> list[str]:
     """Run ``fibsemi.cli.main`` on each argv in a fresh ``python -S`` and
-    return which of UNUSED it left in ``sys.modules``."""
+    return which of UNUSED it left in ``sys.modules``, then "fork" once for
+    each child it forked."""
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from fibsemi.cli import main\n"
+        "forks = []\n"
+        "if hasattr(os, 'fork'):\n"
+        "    fork, os.fork = os.fork, lambda: forks.append(fork()) or forks[-1]\n"
         f"codes = [main(argv) for argv in {argvs!r}]\n"
         "assert codes == [0] * len(codes), codes\n"
-        f"sys.stderr.write(' '.join(m for m in {UNUSED!r} if m in sys.modules))\n"
+        f"loaded = [m for m in {UNUSED!r} if m in sys.modules]\n"
+        "sys.stderr.write(' '.join(loaded + ['fork'] * len(forks)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
@@ -107,6 +113,20 @@ def test_the_cli_loads_no_module_it_does_not_use():
                         # both write JSON's layout by hand
                         ["table", "0", "40", "--format", "json"],
                         ["apery", "8", "--format", "json"]) == []
+
+
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or usable_cpus() < 2,
+                    reason="the CLI forks only with two CPUs usable")
+def test_forking_loads_no_module_it_does_not_use():
+    assert loaded_after(["verify", "20"],
+                        ["apery", "22", "--format", "csv"]) == ["fork", "fork"]
 
 
 def test_json_is_loaded_to_write_json():
