@@ -21,8 +21,7 @@ import sys
 import time
 from contextlib import closing
 from functools import cache
-from itertools import accumulate
-from operator import and_, attrgetter
+from operator import attrgetter
 
 from . import fib_family
 from .fib_family import DEFAULT_TABLE_BOUND, FamilySummary, TableTooLarge
@@ -53,19 +52,13 @@ EXIT_INTERNAL = 4
 # doubles the memory of apery 22's 17,711-entry table.
 APERY_BLOCK_ROWS = 256
 
-# Least min(a_max, 25) at which verify's forked child, walking every third
-# Zeckendorf block, pays.  In process, fork against no fork, 30 alternating
-# fresh runs each (2 CPUs, CPython 3.11.7): verify 19 ran 13.9 against 15.5 ms,
-# faster in 26/30 twice; verify 18 in 8/30 and 16/30.  While the host ran both
-# processes on one CPU, forking won at most 1/30 at either, 4 ms slower.
-VERIFY_FORK_MIN_INDEX = 19
-
 # Least a at which apery's forked child, rendering the odd blocks, pays.  The
 # child builds its own table, so each process builds one beside the other.
-# In process, csv written to a pipe, timed as above: apery 22 was faster in
-# 17/30 (18.7 against 17.6 ms) and 20/30 (20.3 against 22.7 ms); apery 21 in
-# 10/30 and 12/30.  While the host ran both processes on one CPU, forking won
-# at most 1/30 at either, 7 to 14 ms slower.
+# In process, fork against no fork, csv written to a pipe, 30 alternating
+# fresh runs each (2 CPUs, CPython 3.11.7): apery 22 was faster in 17/30 (18.7
+# against 17.6 ms) and 20/30 (20.3 against 22.7 ms); apery 21 in 10/30 and
+# 12/30.  While the host ran both processes on one CPU, forking won at most
+# 1/30 at either, 7 to 14 ms slower.
 APERY_FORK_MIN_INDEX = 22
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
@@ -312,16 +305,16 @@ class _VerifyOutcome:
         self.ms = 0
 
 
-def _verify_one(a: int, args: argparse.Namespace, bijection) -> _VerifyOutcome:
+def _verify_one(a: int, args: argparse.Namespace, bijection: bool) -> _VerifyOutcome:
     """Run every check available for one parameter.
 
     The record is ``family_summary``'s, which reads the closed forms through
     the ``fib_family`` namespace, so a perturbed function is actually
     exercised.  A resource limit marks a check skipped, never failed.
-    ``bijection(a)`` is the Zeckendorf bijection check of 1..f_a - 1, asked
-    for every a <= MAX_BIJECTION_INDEX.
+    ``bijection`` is whether the Zeckendorf bijection onto 1..f_a - 1 holds,
+    as ``cmd_verify`` checked it; it is read for every a <= MAX_BIJECTION_INDEX
+    and reported as skipped above.
     """
-    t0 = time.perf_counter()
     s = fib_family.family_summary(a)
     gens = s.generators  # the only generator tuple built for this index
     m, f, g, n = s.multiplicity, s.frobenius, s.genus, s.n_count
@@ -345,7 +338,7 @@ def _verify_one(a: int, args: argparse.Namespace, bijection) -> _VerifyOutcome:
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
     if a <= fib_family.MAX_BIJECTION_INDEX:
-        check("zeckendorf-bijection", bijection(a))
+        check("zeckendorf-bijection", bijection)
     else:
         out.skipped.append("zeckendorf-bijection")
 
@@ -373,8 +366,6 @@ def _verify_one(a: int, args: argparse.Namespace, bijection) -> _VerifyOutcome:
         out.skipped.append(f"oracle ({exc})")
     except SemigroupError:  # the oracle refuses the closed-form generators
         out.failures.append("oracle-generators")
-
-    out.ms = int((time.perf_counter() - t0) * 1000)
     return out
 
 
@@ -466,21 +457,18 @@ def _can_fork() -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Check a = 3..a_max in order.  Each Zeckendorf block k <= top is walked
-    once over the sweep, and the bijection at a is the conjunction of blocks
-    3..a, which takes every block's result even after one has failed.  Where
-    top >= VERIFY_FORK_MIN_INDEX, a forked child walks the blocks k = top,
-    top - 3, ..., down to 6, 7 or 8 (floor(f_top / 2) - 1 or - 2 of the
-    f_top - 1 residues); the parent walks the others, 3, 4 and 5 first, so
-    it has its own blocks to walk while the child starts, and takes the
-    child's block a when it checks a."""
-    top = min(args.a_max, fib_family.MAX_BIJECTION_INDEX)
-    theirs = range(top, 5, -3)[::-1] if top >= VERIFY_FORK_MIN_INDEX else ()
-    with closing(_forked(lambda k: str(fib_family.zeckendorf_block_check(k)),
-                         range(3, top + 1), theirs)) as blocks:
-        holds = accumulate((r == "True" for r in blocks), and_)  # blocks 3..a all hold
-        outcomes = [_verify_one(a, args, lambda k: next(holds))
-                    for a in range(3, args.a_max + 1)]
+    """Check a = 3..a_max in order, timing each a with its Zeckendorf block.
+    Each block k <= MAX_BIJECTION_INDEX is checked once over the sweep, and
+    the bijection at a is the conjunction of blocks 3..a, which checks every
+    block even after one has failed."""
+    holds, outcomes = True, []  # holds: blocks 3..a all hold
+    for a in range(3, args.a_max + 1):
+        t0 = time.perf_counter()
+        if a <= fib_family.MAX_BIJECTION_INDEX:
+            holds &= fib_family.zeckendorf_block_check(a)
+        outcome = _verify_one(a, args, holds)
+        outcome.ms = int((time.perf_counter() - t0) * 1000)
+        outcomes.append(outcome)
 
     failed = [o for o in outcomes if o.failures]
     detail = print if args.format == "text" else _note

@@ -13,7 +13,7 @@ import os
 from collections import namedtuple
 from math import comb
 
-from .fibonacci import beta, fib, gamma, zeckendorf_indices
+from .fibonacci import beta, fib, gamma
 from .semigroup_core import AperyTable, ResourceLimit
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a (residues) of an Apery table or bitset
-MAX_BIJECTION_INDEX = 25  # largest a the Zeckendorf bijection check walks
+MAX_BIJECTION_INDEX = 25  # largest a the Zeckendorf bijection check enumerates
 
 # Bytes of memory per entry of a family_apery table: one 8-byte tuple slot and
 # one int.  tracemalloc reads 40.0 B per entry at a = 22 and a = 28.
@@ -215,48 +215,56 @@ def kaplansky_count(n: int, m: int) -> int:
 
 
 def zeckendorf_block_check(k: int) -> bool:
-    """The x in [f_{k-1}, f_k) map one to one onto the sparse subsets of
-    {2..k - 1} with top member k - 1.
+    """The sparse subsets of {2..k - 1} with top member k - 1 sum one to one
+    onto [f_{k-1}, f_k): Zeckendorf's theorem on one block.
 
-    One pass of the greedy :func:`zeckendorf_indices` over the block, keeping
-    a count per set size.  Each B(x) must be sparse, start at 2 or above, top
-    out at exactly k - 1 and sum back to x, so distinct x give distinct sets.
-    The sets of size m with top member k - 1 are the sparse m-subsets of
-    {2..k - 1} less those inside {2..k - 2}: kaplansky_count(k, m) -
-    kaplansky_count(k - 1, m) of them, C(k - 2 - m, m - 1) by Pascal's rule.
-    Matching counts make it onto.  Also checks f_k = sum over j of
-    kaplansky_count(k, j), the count of all sparse subsets of {2..k - 1}, in O(k).
+    The sets are enumerated on one int mask d, bit i standing for f_i, from
+    {k - 1}, worth f_{k-1}.  Each step sets the lowest bit i >= 2 with bits i
+    and i + 1 clear and clears every bit below it, so each set is sparse, has
+    members >= 2 and is a larger mask than the one before.  Its value and size
+    are kept up to date from the bits set and cleared, and each set must be
+    worth one more than the one before, the last f_k - 1, so distinct sets sum
+    onto the block.  That also keeps the top member k - 1: with bit k - 1 set,
+    i is never k - 2 or k - 1, and i = k would leave {k}, worth f_k, past the
+    block.  The sets of size m are the sparse m-subsets of {2..k - 1} less
+    those inside {2..k - 2}: kaplansky_count(k, m) - kaplansky_count(k - 1, m),
+    C(k - 2 - m, m - 1) by Pascal's rule, so matching counts make the
+    enumeration reach each one.  Also checks f_k = sum over j of
+    kaplansky_count(k, j), the count of all sparse subsets of {2..k - 1}.
     """
     if not 3 <= k <= MAX_BIJECTION_INDEX:
         raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
-    if fib(k) != sum(kaplansky_count(k, j) for j in range((k - 1) // 2 + 1)):
-        return False
-    fibs = [fib(i) for i in range(k)]
+    fibs = [fib(i) for i in range(k + 1)]
     top = (k - 1) // 2  # a sparse subset of {2..k - 1} has at most top members
-    per_size = [0] * (top + 1)
-    for x in range(fibs[k - 1], fib(k)):
-        key = zeckendorf_indices(x)
-        total = 0
-        prev = 0  # so the first index must be >= 2
-        for i in key:
-            # the bound is tested before fibs[i] is read: a bad key is False
-            if not prev + 2 <= i < k:
-                return False
-            total += fibs[i]
-            prev = i
-        if total != x or prev != k - 1:
+    per_size = [0, 1] + [0] * (top - 1)  # counting the first set, {k - 1}
+    d, value, size = 1 << (k - 1), fibs[k - 1], 1
+    for x in range(value + 1, fibs[k]):
+        free = ~(d | d >> 1) & ~3
+        i = (free & -free).bit_length() - 1
+        cleared = d & ((1 << i) - 1)
+        d ^= cleared | 1 << i
+        value += fibs[i]
+        size += 1
+        while cleared:
+            j = cleared.bit_length() - 1
+            value -= fibs[j]
+            size -= 1
+            cleared ^= 1 << j
+        if value != x:
             return False
-        per_size[len(key)] += 1
-    return per_size == [kaplansky_count(k, m) - kaplansky_count(k - 1, m)
-                        for m in range(top + 1)]
+        per_size[size] += 1
+    return (value == fibs[k] - 1  # the last set, also where no step was taken
+            and per_size == [kaplansky_count(k, m) - kaplansky_count(k - 1, m)
+                             for m in range(top + 1)]
+            and fibs[k] == sum(kaplansky_count(k, j) for j in range(top + 1)))
 
 
 def zeckendorf_bijection_check(a: int) -> bool:
-    """Zeckendorf index sets of 1..f_a - 1 hit each sparse subset of {2..a - 1} once.
+    """The nonempty sparse subsets of {2..a - 1} sum one to one onto 1..f_a - 1.
 
     The blocks [f_{k-1}, f_k) for k = 3..a split 1..f_a - 1 (f_2 = 1) as the
     top member k - 1 splits the subsets, and :func:`zeckendorf_block_check`
-    makes each block a bijection onto its class.  ``verify`` walks the blocks
+    makes each block a bijection onto its class.  ``verify`` checks the blocks
     itself, each once over its sweep.
     """
     if not 3 <= a <= MAX_BIJECTION_INDEX:

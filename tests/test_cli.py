@@ -433,7 +433,7 @@ def test_verify_table_bound_is_f_a(capsys):
 def test_verify_default_oracle_budget_names_itself():
     # one parameter only: verify 31 would first run the oracle for every a <= 29
     args = cli.build_parser().parse_args(["verify", "31", "--table-bound", "1"])
-    outcome = cli._verify_one(31, args, lambda k: True)
+    outcome = cli._verify_one(31, args, True)
     assert outcome.failures == []
     assert outcome.skipped == ["zeckendorf-bijection", "apery-table",
                                _budget_skip(1346269, 10_000_000)]
@@ -493,8 +493,8 @@ def test_verify_reports_the_skipped_bijection_check(capsys, monkeypatch):
 
 @pytest.fixture(params=[2, 1], ids=["forked", "in-process"])
 def cpus(request, monkeypatch):
-    """CPUs usable as ``verify`` sees them: with one it forks no child and
-    walks every Zeckendorf block itself."""
+    """CPUs usable as the CLI sees them: with one, ``apery`` forks no child
+    and renders every block itself."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
                         raising=False)
     return request.param
@@ -521,197 +521,85 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_verify_walks_each_residue_once(capsys, monkeypatch, tmp_path, forks):
-    # the walk runs in two processes when verify forks, so each walked x is
-    # appended to one file, opened before the run, by whichever process walks it
-    real = fib_family.zeckendorf_indices
-    for cpus in (2, 1):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        forks.clear()
-        walked = tmp_path / f"walked-on-{cpus}"
-        fd = os.open(walked, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+def _logged_block_checks(monkeypatch) -> list[int]:
+    """The k of each Zeckendorf block check, in the order they are made."""
+    made, real = [], fib_family.zeckendorf_block_check
 
-        def logged(x):
-            os.write(fd, b"%d\n" % x)
-            return real(x)
+    def check(k):
+        made.append(k)
+        return real(k)
 
-        monkeypatch.setattr(fib_family, "zeckendorf_indices", logged)
-        try:
-            code, _, _ = run(capsys, "verify", "24")
-        finally:
-            os.close(fd)
-        assert code == EXIT_OK
-        assert len(forks) == (cpus == 2)
-        # blocks 3..24 cover 1..f_24 - 1, and each x is walked exactly once
-        assert sorted(map(int, walked.read_bytes().split())) == list(range(1, fib(24)))
-
-
-def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
-    # a = 25 is MAX_BIJECTION_INDEX: the child walks blocks 7, 10, ..., 25
-    code, out, _ = run(capsys, "verify", "25", "--format", "csv")
-    assert code == EXIT_OK
-    assert out == (GOLDEN / "verify_25.csv").read_text()
-    assert len(forks) == (cpus == 2)
-    _no_child_left()
-
-
-def _spy_on_forked(monkeypatch, real=cli._forked):
-    """The (jobs, theirs) of each ``_forked`` call, as lists, made on one CPU."""
-    made = []
-
-    def spy(work, jobs, theirs):
-        made.append((list(jobs), list(theirs)))
-        return real(work, jobs, theirs)
-
-    monkeypatch.setattr(cli, "_forked", spy)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(fib_family, "zeckendorf_block_check", check)
     return made
 
 
-def test_verify_childs_blocks_hold_half_the_residues(capsys, monkeypatch):
-    # blocks 3..top hold the f_top - 1 residues 1..f_top - 1; the child's top,
-    # top - 3, ..., down to 6, 7 or 8, hold floor(f_top / 2) of them less the
-    # f_1, f_2 or f_3 of the lowest of 3, 4 and 5, which the parent walks first
-    made = _spy_on_forked(monkeypatch)
-    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
-    monkeypatch.setattr(fib_family, "zeckendorf_block_check", lambda k: True)
-    for top in range(3, 26):
-        assert run(capsys, "verify", str(top), "--oracle-bound", "1",
-                   "--table-bound", "1")[0] == EXIT_OK
-        jobs, theirs = made.pop()
-        assert jobs == list(range(3, top + 1))
-        assert theirs == sorted(range(top, 5, -3))
-        lowest = 3 + (top - 3) % 3
-        assert sum(fib(k - 2) for k in theirs) == fib(top) // 2 - fib(lowest - 2)
-    assert fib(24) // 2 - fib(1) == 23_183  # verify 24's child
+def _misread_in_block(monkeypatch, k: int, read) -> None:
+    """Block k's check reads f_j as ``read(j)``, as a faulty successor step
+    would; every other block and every other check reads ``fib``."""
+    real = fib_family.zeckendorf_block_check
 
-
-def test_verify_forks_where_the_parent_did(capsys, monkeypatch):
-    # the rule this replaced: fork where the child's floor(f_top / 2) residues
-    # reach 2,090, the count at verify 19
-    made = _spy_on_forked(monkeypatch)
-    monkeypatch.setattr(fib_family, "zeckendorf_block_check", lambda k: True)
-    for a_max in range(31):
-        assert run(capsys, "verify", str(a_max), "--oracle-bound", "1",
-                   "--table-bound", "1")[0] == EXIT_OK
-        _, theirs = made.pop()
-        assert bool(theirs) == (fib(min(a_max, 25)) // 2 >= 2_090), a_max
-
-
-def test_verify_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli.VERIFY_FORK_MIN_INDEX == 19
-    for index, forked in ((19, 1), (20, 0)):
-        monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", index)
-        forks.clear()
-        assert run(capsys, "verify", "19", "--oracle-bound", "1")[0] == EXIT_OK
-        assert len(forks) == forked
-
-
-def test_verify_forks_only_where_a_child_can_run_beside_it(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli._can_fork()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert not cli._can_fork()
-    # without an affinity call, the CPU count decides
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    for count, pays in ((1, False), (None, False), (2, True)):
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert cli._can_fork() == pays
-    # a second thread would not be copied into the child
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert not cli._can_fork()
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert cli._can_fork()
-    # an ignored SIGCHLD, which exec passes on, has the kernel reap the child
-    saved = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        assert not cli._can_fork()
-    finally:
-        signal.signal(signal.SIGCHLD, saved)
-    monkeypatch.delattr(os, "fork")
-    assert not cli._can_fork()
-
-
-@pytest.mark.parametrize("a_max, k", [(25, 22), (24, 24), (25, 23), (25, 24), (24, 23)])
-def test_verify_bad_key_in_the_childs_share_fails_from_its_block_on(
-        capsys, monkeypatch, cpus, forks, a_max, k):
-    # x = f_{k-1} opens block k: one of the child's blocks a_max, a_max - 3, ...
-    # when a_max - k is a multiple of 3, else one of the parent's, after which
-    # the child's later results are still taken.  Its key (k - 1,) becomes
-    # (2, k - 1), which is sparse but sums to x + 1
-    real = fib_family.zeckendorf_indices
-    x = fib(k - 1)
-    monkeypatch.setattr(fib_family, "zeckendorf_indices",
-                        lambda y: (2,) + real(y) if y == x else real(y))
-    code, out, _ = run(capsys, "verify", str(a_max), "--oracle-bound", "1")
-    assert code == EXIT_MISMATCH
-    failed = {int(line.split()[0][2:]) for line in out.splitlines() if " FAIL" in line}
-    assert failed == set(range(k, a_max + 1))
-    assert out.count("  mismatch:") == out.count("  mismatch: zeckendorf-bijection\n")
-    assert len(forks) == (cpus == 2)
-    _no_child_left()
-
-
-def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, tmp_path, cpus, forks):
-    # x = f_4 = 3 opens block 5, one of the parent's under verify 12; every
-    # later block is still walked, once, by whichever process owns it, and
-    # each walked k is appended to one file opened before the run
-    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
-    real_indices, real_check = fib_family.zeckendorf_indices, fib_family.zeckendorf_block_check
-    monkeypatch.setattr(fib_family, "zeckendorf_indices",
-                        lambda y: (2,) + real_indices(y) if y == fib(4) else real_indices(y))
-    log = tmp_path / "blocks"
-    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-
-    def check(k):
-        os.write(fd, b"%d\n" % k)
-        return real_check(k)
+    def check(block):
+        if block != k:
+            return real(block)
+        with monkeypatch.context() as m:
+            m.setattr(fib_family, "fib", read)
+            return real(block)
 
     monkeypatch.setattr(fib_family, "zeckendorf_block_check", check)
-    try:
-        code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1")
-    finally:
-        os.close(fd)
-    assert code == EXIT_MISMATCH
-    assert out.count("  mismatch: zeckendorf-bijection\n") == 8  # a = 5..12
-    assert sorted(map(int, log.read_bytes().split())) == list(range(3, 13))
-    assert len(forks) == (cpus == 2)
+
+
+def test_verify_walks_each_residue_once(capsys, monkeypatch, forks):
+    # block k enumerates the residues [f_{k-1}, f_k) once, and blocks 3..24
+    # split 1..f_24 - 1: each is checked once, in this process, on two CPUs too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    made = _logged_block_checks(monkeypatch)
+    code, _, _ = run(capsys, "verify", "24")
+    assert code == EXIT_OK
+    assert made == list(range(3, 25))
+    assert forks == []
+
+
+def test_verify_25_is_its_golden_and_forks_nothing(capsys, monkeypatch, forks):
+    # a = 25 is MAX_BIJECTION_INDEX: every supported Zeckendorf block checked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, out, _ = run(capsys, "verify", "25", "--format", "csv")
+    assert code == EXIT_OK
+    assert out == (GOLDEN / "verify_25.csv").read_text()
+    assert forks == []
     _no_child_left()
 
 
-def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
-        capsys, monkeypatch, cpus, forks):
-    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
-    real = fib_family.zeckendorf_indices
+def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, cpus, forks):
+    # block 5 misreads f_2 as 2 in its one step, {4} to {2, 4}; every later
+    # block is still checked, once, by this process alone
+    _misread_in_block(monkeypatch, 5, lambda i: 2 if i == 2 else fib(i))
+    made = _logged_block_checks(monkeypatch)
+    code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1")
+    assert code == EXIT_MISMATCH
+    assert out.count("  mismatch: zeckendorf-bijection\n") == 8  # a = 5..12
+    assert made == list(range(3, 13))
+    assert forks == []
+    _no_child_left()
 
-    def broken(x):
-        if x == 21:  # block 9, [f_8, f_9), the child's under verify 12
-            raise RuntimeError("walk broke at 21")
-        return real(x)
 
-    monkeypatch.setattr(fib_family, "zeckendorf_indices", broken)
+def test_verify_block_check_raising_is_one_internal_error(capsys, monkeypatch, forks):
+    def broken(i):
+        raise RuntimeError(f"block 9 broke at f_{i}")
+
+    _misread_in_block(monkeypatch, 9, broken)
     code, out, err = run(capsys, "verify", "12")
     assert code == EXIT_INTERNAL
     assert out == ""
-    assert err == "fibsemi: internal error: RuntimeError: walk broke at 21\n"
-    assert len(forks) == (cpus == 2)
-    _no_child_left()
+    assert err == "fibsemi: internal error: RuntimeError: block 9 broke at f_0\n"
+    assert forks == []
 
 
+@pytest.mark.parametrize("cpus", [1], indirect=True, ids=["in-process"])
 def test_verify_out_of_memory_mid_sweep_leaves_no_child(capsys, monkeypatch, cpus, forks):
-    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
     real = NumericalSemigroup.summary
 
     def summary(self):
-        if len(self.generators) == 10:  # a = 11; the child walks up to block 20
+        if len(self.generators) == 10:  # a = 11
             raise MemoryError
         return real(self)
 
@@ -719,7 +607,7 @@ def test_verify_out_of_memory_mid_sweep_leaves_no_child(capsys, monkeypatch, cpu
     code, out, err = run(capsys, "verify", "20")
     assert code == EXIT_RESOURCE
     assert (out, err) == ("", "fibsemi: out of memory\n")
-    assert len(forks) == (cpus == 2)
+    assert forks == []
     _no_child_left()
 
 
@@ -728,19 +616,17 @@ def _emfile():
 
 
 @pytest.mark.parametrize("argv, snapshot", [
-    ("verify 20 --format csv", "verify_20.csv"),
+    ("apery 12 --format json", "apery_12.json"),
     ("apery 12 --format csv", "apery_12.csv"),
 ])
 def test_no_pipe_means_no_child(capsys, monkeypatch, forks, argv, snapshot):
     # a process out of descriptors does every job itself, as one out of processes does
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cli, "VERIFY_FORK_MIN_INDEX", 0)
     monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
     monkeypatch.setattr(os, "pipe", _emfile)
     code, out, err = run(capsys, *argv.split())
-    assert (code, out) == (EXIT_OK, (GOLDEN / snapshot).read_text())
-    assert "Errno" not in err  # verify's csv has its summary line there
+    assert (code, out, err) == (EXIT_OK, (GOLDEN / snapshot).read_text(), "")
     assert forks == []
 
 
@@ -872,6 +758,50 @@ def test_forked_closed_before_it_starts_forks_nothing(monkeypatch, forks):
 
 
 # -- apery on two CPUs ------------------------------------------------------------
+
+def test_apery_forks_only_where_a_child_can_run_beside_it(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._can_fork()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not cli._can_fork()
+    # without an affinity call, the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, pays in ((1, False), (None, False), (2, True)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._can_fork() == pays
+    # a second thread would not be copied into the child
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not cli._can_fork()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert cli._can_fork()
+    # an ignored SIGCHLD, which exec passes on, has the kernel reap the child
+    saved = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert not cli._can_fork()
+    finally:
+        signal.signal(signal.SIGCHLD, saved)
+    monkeypatch.delattr(os, "fork")
+    assert not cli._can_fork()
+
+
+def _spy_on_forked(monkeypatch, real=cli._forked):
+    """The (jobs, theirs) of each ``_forked`` call, as lists, made on one CPU."""
+    made = []
+
+    def spy(work, jobs, theirs):
+        made.append((list(jobs), list(theirs)))
+        return real(work, jobs, theirs)
+
+    monkeypatch.setattr(cli, "_forked", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    return made
+
 
 def _apery_share(a: int) -> int:
     """Rows in apery a's odd blocks of 256 rows: the forked child's."""
@@ -1081,10 +1011,9 @@ def test_apery_child_gone_after_k_blocks_changes_no_byte(capsys, monkeypatch, fo
 
 
 def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatch):
-    real = fib_family.zeckendorf_indices
-    # x = 12 lies in block 7, [f_6, f_7) = [8, 13); 2 + 4 + 7 is sparse but sums to 17
-    monkeypatch.setattr(fib_family, "zeckendorf_indices",
-                        lambda x: (2, 4, 7) if x == 12 else real(x))
+    # block 7, [f_6, f_7) = [8, 13), misreads f_4 = 3 as 4: its step from
+    # {2, 6}, worth 9, to {3, 6} is fine, but the one to {4, 6} reaches 12, not 11
+    _misread_in_block(monkeypatch, 7, lambda i: 4 if i == 4 else fib(i))
     code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1")
     assert code == EXIT_MISMATCH
     failed = {int(line.split()[0][2:]) for line in out.splitlines() if " FAIL" in line}
@@ -1093,10 +1022,10 @@ def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatc
     # one parameter reports the bijection it is handed: verify 12 above holds
     # block a together with the blocks below it
     args = cli.build_parser().parse_args(["verify", "10", "--oracle-bound", "1"])
-    check = fib_family.zeckendorf_block_check
-    assert cli._verify_one(10, args, check).failures == []
-    assert cli._verify_one(10, args, lambda k: False).failures == ["zeckendorf-bijection"]
-    assert cli._verify_one(7, args, check).failures == ["zeckendorf-bijection"]
+    assert cli._verify_one(10, args, True).failures == []
+    assert cli._verify_one(10, args, False).failures == ["zeckendorf-bijection"]
+    assert cli._verify_one(7, args, fib_family.zeckendorf_block_check(7)).failures == [
+        "zeckendorf-bijection"]
 
 
 def _mismatches(out: str) -> list[str]:

@@ -359,49 +359,39 @@ def test_bijection_check_examples():
         zeckendorf_bijection_check(26)
 
 
-BAD_KEYS = [
-    (12, (2, 4, 7)),  # sparse and in range, but sums to 17
-    (12, (1, 4, 6)),  # sums to 12 through index 1
-    (12, (2, 10)),  # index a: refused before fib(10) is looked up
-    (13, (5, 6)),  # sums to 13 through two consecutive indices
-    (12, (6, 2, 4)),  # sums to 12, not increasing
-    (12, ()),
-    (12, zeckendorf_indices(11)),  # a second x's correct key
-]
+def _misread(monkeypatch, j: int, value: int) -> None:
+    """A bad key: fib_family reads f_j, the value of bit j of the block
+    check's mask, as ``value``, and every other Fibonacci number as it is."""
+    monkeypatch.setattr(fib_family, "fib", lambda i: value if i == j else fib(i))
 
 
-@pytest.mark.parametrize("x, bad_key", BAD_KEYS)
-def test_bijection_check_rejects_a_bad_key(monkeypatch, x, bad_key):
+# (j, f_j as the successor step reads it): one too low or one too high for
+# each f_j that a block below f_10 reads, and f_10 read as twice itself, which
+# runs block 10's steps past its last set, to {10}, worth more than the next x
+BAD_KEYS = [(j, fib(j) + delta) for j in range(2, 11) for delta in (-1, 1)] + [(10, 2 * fib(10))]
+
+
+@pytest.mark.parametrize("j, value", BAD_KEYS)
+def test_bijection_check_rejects_a_bad_key(monkeypatch, j, value):
     a = 10
     assert zeckendorf_bijection_check(a)
-
-    def walk(y):
-        return bad_key if y == x else zeckendorf_indices(y)
-
-    monkeypatch.setattr(fib_family, "zeckendorf_indices", walk)
+    _misread(monkeypatch, j, value)
     assert zeckendorf_bijection_check(a) is False
 
 
-@pytest.mark.parametrize("x, bad_key", BAD_KEYS)
-def test_block_check_rejects_a_bad_key_in_its_block_only(monkeypatch, x, bad_key):
-    k = gamma(x) + 1  # f_{k-1} <= x < f_k
-
-    def walk(y):
-        return bad_key if y == x else zeckendorf_indices(y)
-
-    monkeypatch.setattr(fib_family, "zeckendorf_indices", walk)
-    assert zeckendorf_block_check(k) is False
-    assert all(zeckendorf_block_check(j) for j in range(3, 11) if j != k)
+@pytest.mark.parametrize("j, value", BAD_KEYS)
+def test_block_check_rejects_a_bad_key_in_the_blocks_that_read_it(monkeypatch, j, value):
+    # block j reads f_j as its end and in its count, and block j + 1 as its
+    # start; each block from j + 3 on steps to a set holding j.  Block j + 2,
+    # whose top member is j + 1, never sets bit j, and no block below j reads f_j
+    _misread(monkeypatch, j, value)
+    failed = [k for k in range(3, 14) if not zeckendorf_block_check(k)]
+    assert failed == [k for k in range(3, 14) if k in (j, j + 1) or k >= j + 3]
 
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_bijection_check_fails_from_the_block_of_a_bad_key_on(monkeypatch, k):
-    x = fib(k) - 1  # the last residue of block k
-
-    def walk(y):
-        return () if y == x else zeckendorf_indices(y)
-
-    monkeypatch.setattr(fib_family, "zeckendorf_indices", walk)
+    _misread(monkeypatch, k, fib(k) + 1)  # the end of block k
     assert [zeckendorf_bijection_check(a) for a in range(3, 11)] == [a < k for a in range(3, 11)]
 
 
