@@ -559,9 +559,9 @@ def test_verify_walks_each_residue_once(capsys, monkeypatch, forks):
     assert forks == []
 
 
-def test_verify_25_is_its_golden_and_forks_nothing(capsys, monkeypatch, forks):
-    # a = 25 is MAX_BIJECTION_INDEX: every supported Zeckendorf block checked
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
+    # a = 25 is MAX_BIJECTION_INDEX: every supported Zeckendorf block checked,
+    # by this process alone on one CPU or two
     code, out, _ = run(capsys, "verify", "25", "--format", "csv")
     assert code == EXIT_OK
     assert out == (GOLDEN / "verify_25.csv").read_text()
@@ -582,7 +582,10 @@ def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, cpus, for
     _no_child_left()
 
 
-def test_verify_block_check_raising_is_one_internal_error(capsys, monkeypatch, forks):
+def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
+        capsys, monkeypatch, cpus, forks):
+    # block 9 of verify 12 would be a child's share were verify to fork; on
+    # one CPU or two it is checked here, and its raising is one internal error
     def broken(i):
         raise RuntimeError(f"block 9 broke at f_{i}")
 
