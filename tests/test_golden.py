@@ -32,11 +32,15 @@ GOLDEN = Path(__file__).parent / "golden"
     ("info 7 --format csv", "info_7.csv"),
     ("info 90 --format json", "info_90.json"),
     ("semigroup 6 9 20 --format json", "semigroup_6_9_20.json"),
+    ("semigroup 1 --format json", "semigroup_1.json"),  # an empty gaps list
     ("verify 20", "verify_20.txt"),
     ("verify 20 --format json", "verify_20.json"),
     ("verify 20 --format csv", "verify_20.csv"),
     ("verify 25 --format csv", "verify_25.csv"),
     ("verify 26 --oracle-bound 1 --table-bound 1 --format csv", "verify_26_bounded.csv"),
+    # no parameter to check: an empty JSON list, a CSV header alone
+    ("verify 2 --format json", "verify_2.json"),
+    ("verify 2 --format csv", "verify_2.csv"),
 ])
 def test_output_matches_snapshot(capsys, argv, snapshot):
     assert main(argv.split()) == EXIT_OK
