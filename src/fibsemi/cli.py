@@ -163,56 +163,60 @@ def _record(s: FamilySummary) -> dict[str, int]:
     return dict(zip(TABLE_FIELDS, _table_values(s)))
 
 
-def _int_rows(fmt: str, fields: tuple[str, ...]) -> tuple[str, str, str, str]:
-    """(head, row, sep, tail) of a list of rows of integers in CSV or JSON:
-    ``row`` is a %-template over one row's values, and ``sep`` goes between
-    rows.  JSON is json.dump(rows, indent=2)'s layout for a nonempty list;
-    every value is an int, so nothing needs escaping."""
+def _rows(fmt: str, fields: tuple[str, ...], spec: str,
+          lone: bool = False) -> tuple[str, str, str, str]:
+    """(head, row, sep, tail) of a list of rows in CSV or JSON, or of one
+    record when ``lone``: ``row`` is a %-template over one row's cells, each
+    formatted by ``spec``, ``%d`` for an int or ``%s`` for a cell rendered by
+    :func:`_cell`, and ``sep`` goes between rows.  JSON is json.dump(indent=2)'s
+    layout: a nonempty list of objects, or a lone object as the document."""
     if fmt == "json":
-        row = "  {\n" + ",\n".join(f'    "{k}": %d' for k in fields) + "\n  }"
-        return "[\n", row, ",\n", "\n]\n"
-    return ",".join(fields) + "\n", ",".join(["%d"] * len(fields)) + "\n", "", ""
+        pad = "" if lone else "  "
+        row = f"{pad}{{\n" + ",\n".join(f'{pad}  "{k}": {spec}' for k in fields) + f"\n{pad}}}"
+        return ("", row, "", "\n") if lone else ("[\n", row, ",\n", "\n]\n")
+    return ",".join(fields) + "\n", ",".join([spec] * len(fields)) + "\n", "", ""
 
 
-def _write_csv(fields: tuple[str, ...], rows: list[dict]) -> None:
-    import csv  # only CSV records pay for the import
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_cell(row[k]) for k in fields])
-
-
-def _cell(value) -> str:
+def _cell(fmt: str, value, pad: int = 0) -> str:
+    """One cell, an int, bool, string or list, in ``fmt`` as json.dump(indent=2)
+    and csv.writer write it; bools are true and false.  A JSON list on a line
+    indented by ``pad`` has its items at pad + 2 spaces and its ] at pad;
+    elsewhere a list's items are joined by spaces.  A CSV cell holding a
+    comma, a double quote or a newline is quoted, its quotes doubled: csv's
+    minimal quoting."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return " ".join(str(v) for v in value)
-    return str(value)
+    if isinstance(value, int):
+        return str(value)
+    if fmt == "json":
+        if isinstance(value, str):
+            import json  # only JSON string cells pay for the import
 
-
-def _write_json(payload) -> None:
-    import json  # only JSON output pays for the import
-
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+            return json.dumps(value)
+        lead = "\n" + " " * (pad + 2)
+        items = [_cell(fmt, v) for v in value]
+        return f"[{lead}{(',' + lead).join(items)}\n{' ' * pad}]" if items else "[]"
+    text = value if isinstance(value, str) else " ".join(map(str, value))
+    if fmt == "csv" and any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_record(fmt: str, record: dict, csv_fields: tuple[str, ...],
                   text_keys: tuple[str, ...]) -> None:
     """One record in ``fmt``: JSON in the record's own key order, CSV as a
     header plus one row of ``csv_fields``, text as aligned label/value lines."""
-    if fmt == "json":
-        _write_json(record)
-    elif fmt == "csv":
-        _write_csv(csv_fields, [record])
-    else:
+    if fmt == "text":
         # text reports spell out the two abbreviated record keys
         long = {"m": "multiplicity", "e": "embedding_dimension"}
         labels = [long.get(k, k) for k in text_keys]
         width = max(len(label) for label in labels)
         for label, k in zip(labels, text_keys):
-            print(f"{label.ljust(width)}  {_cell(record[k])}")
+            print(f"{label.ljust(width)}  {_cell(fmt, record[k])}")
+        return
+    fields = tuple(record) if fmt == "json" else csv_fields
+    head, row, _, tail = _rows(fmt, fields, "%s", lone=True)
+    sys.stdout.write(head + row % tuple(_cell(fmt, record[k], 2) for k in fields) + tail)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -246,7 +250,7 @@ def cmd_apery(args: argparse.Namespace) -> int:
         ww = len(str(fib_family.family_frobenius(a) + n))
         head, row, sep, tail = "", f"%{xw}d  %2d  %{ww}d\n", "", ""
     else:
-        head, row, sep, tail = _int_rows(args.format, ("x", "beta", "w"))
+        head, row, sep, tail = _rows(args.format, ("x", "beta", "w"), "%d")
     block, short = sep.join([row] * size), sep.join([row] * (n % size))
     # this process's table of w, built on its first block, after the fork
     table = cache(lambda: fib_family.family_apery(a, table_bound=args.table_bound).w)
@@ -285,7 +289,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         row = "  ".join(f"%{w}d" for w in widths) + "\n"
         sep = tail = ""
     else:
-        head, row, sep, tail = _int_rows(args.format, TABLE_FIELDS)
+        head, row, sep, tail = _rows(args.format, TABLE_FIELDS, "%d")
     out = sys.stdout
     out.write(head)
     lead = ""
@@ -297,12 +301,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 class _VerifyOutcome:
-    def __init__(self, a: int, record: dict) -> None:
-        self.a = a
+    def __init__(self, record: dict) -> None:
         self.record = record
         self.failures: list[str] = []
         self.skipped: list[str] = []
-        self.ms = 0
 
 
 def _verify_one(a: int, args: argparse.Namespace, bijection: bool) -> _VerifyOutcome:
@@ -319,7 +321,7 @@ def _verify_one(a: int, args: argparse.Namespace, bijection: bool) -> _VerifyOut
     gens = s.generators  # the only generator tuple built for this index
     m, f, g, n = s.multiplicity, s.frobenius, s.genus, s.n_count
     fa = fib(a)
-    out = _VerifyOutcome(a, _record(s))
+    out = _VerifyOutcome(_record(s))
 
     def check(label: str, ok: bool) -> None:
         if not ok:
@@ -457,47 +459,42 @@ def _can_fork() -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Check a = 3..a_max in order, timing each a with its Zeckendorf block.
-    Each block k <= MAX_BIJECTION_INDEX is checked once over the sweep, and
-    the bijection at a is the conjunction of blocks 3..a, which checks every
-    block even after one has failed."""
-    holds, outcomes = True, []  # holds: blocks 3..a all hold
-    for a in range(3, args.a_max + 1):
+    """Check a = 3..a_max in order, timing each a with its Zeckendorf block,
+    and write each a's row, and its mismatch lines, as soon as that a is
+    checked: a run stopped mid-sweep leaves the rows it wrote.  Each block
+    k <= MAX_BIJECTION_INDEX is checked once over the sweep, and the bijection
+    at a is the conjunction of blocks 3..a, which checks every block even
+    after one has failed."""
+    fmt, out, params = args.format, sys.stdout, range(3, args.a_max + 1)
+    head, row, sep, tail = _rows(fmt, TABLE_FIELDS + ("verified", "skipped"), "%s")
+    holds, lead, failed, total_ms = True, head, 0, 0  # holds: blocks 3..a all hold
+    for a in params:
         t0 = time.perf_counter()
         if a <= fib_family.MAX_BIJECTION_INDEX:
             holds &= fib_family.zeckendorf_block_check(a)
-        outcome = _verify_one(a, args, holds)
-        outcome.ms = int((time.perf_counter() - t0) * 1000)
-        outcomes.append(outcome)
-
-    failed = [o for o in outcomes if o.failures]
-    detail = print if args.format == "text" else _note
-
-    if args.format == "text":
-        for o in outcomes:
-            status = "FAIL" if o.failures else "ok"
-            line = f"a={o.a} m={o.record['m']} {status}"
-            if o.skipped:
-                line += f" skipped[{', '.join(o.skipped)}]"
-            print(f"{line} {o.ms}ms")
-            for label in o.failures:
-                print(f"  mismatch: {label}")
-    else:
-        rows = [{**o.record, "verified": not o.failures, "skipped": o.skipped}
-                for o in outcomes]
-        if args.format == "csv":
-            for row in rows:
-                row["skipped"] = "; ".join(row["skipped"])
-            _write_csv(TABLE_FIELDS + ("verified", "skipped"), rows)
+        o = _verify_one(a, args, holds)
+        ms = int((time.perf_counter() - t0) * 1000)
+        total_ms += ms
+        failed += bool(o.failures)
+        if fmt == "text":
+            skipped = f" skipped[{', '.join(o.skipped)}]" if o.skipped else ""
+            out.write(f"a={a} m={o.record['m']} {'FAIL' if o.failures else 'ok'}{skipped}"
+                      f" {ms}ms\n" + "".join(f"  mismatch: {label}\n" for label in o.failures))
         else:
-            _write_json(rows)
-        for o in failed:
+            skipped = "; ".join(o.skipped) if fmt == "csv" else o.skipped
+            cells = (*o.record.values(), not o.failures, skipped)
+            out.write(lead + row % tuple(_cell(fmt, v, 4) for v in cells))
+            lead = sep
             for label in o.failures:
-                detail(f"a={o.a} mismatch: {label}")
+                _note(f"a={a} mismatch: {label}")
 
-    total_ms = sum(o.ms for o in outcomes)
-    detail(f"verify: {len(outcomes)} parameters, {len(outcomes) - len(failed)} ok, "
-           f"{len(failed)} failed, {total_ms}ms")
+    summary = (f"verify: {len(params)} parameters, {len(params) - failed} ok, "
+               f"{failed} failed, {total_ms}ms")
+    if fmt == "text":
+        print(summary)
+    else:  # with no a checked: the CSV header alone, or an empty JSON list
+        out.write(tail if params else head if fmt == "csv" else "[]\n")
+        _note(summary)
     return EXIT_MISMATCH if failed else EXIT_OK
 
 

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -311,6 +312,50 @@ def test_table_csv_json_value_parity(capsys):
         assert {k: int(v) for k, v in c.items()} == j
 
 
+def _library_cell(value) -> str:
+    """A CSV cell as the CLI rendered it before it wrote CSV itself, for
+    csv.writer to quote: bools as true and false, lists joined by spaces."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+# no \r: Python 3.13's csv quotes a lone \r, and 3.10 to 3.12 do not
+_strings = st.text(st.one_of(st.sampled_from(',"\n '),
+                             st.characters(exclude_characters="\r")))
+_values = st.one_of(st.integers(), st.booleans(), st.lists(st.integers()),
+                    st.lists(_strings), _strings)
+# two fields at least: csv.writer quotes a row of one empty field as ""
+_fields = st.lists(st.sampled_from(["a", "m", "gaps", "skipped", "wilf_holds"]),
+                   min_size=2, unique=True).map(tuple)
+
+
+@given(_fields.flatmap(lambda fields: st.tuples(st.just(fields), st.lists(
+    st.tuples(*[_values] * len(fields)).map(lambda cells: dict(zip(fields, cells))),
+    min_size=1))))
+@settings(max_examples=200, deadline=None)
+def test_rows_write_what_csv_and_json_write(fields_rows):
+    # the CLI's templates against the library writers, over a list of rows and
+    # over a lone record
+    fields, rows = fields_rows
+    for fmt, records, pad, lone in [("csv", rows, 4, False), ("json", rows, 4, False),
+                                    ("csv", rows[:1], 2, True), ("json", rows[0], 2, True)]:
+        head, row, sep, tail = cli._rows(fmt, fields, "%s", lone)
+        got = head + sep.join(row % tuple(cli._cell(fmt, r[k], pad) for k in fields)
+                              for r in ([records] if lone and fmt == "json" else records))
+        want = io.StringIO()
+        if fmt == "csv":
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(fields)
+            writer.writerows([_library_cell(r[k]) for k in fields] for r in records)
+        else:
+            json.dump(records, want, indent=2)
+            want.write("\n")
+        assert got + tail == want.getvalue()
+
+
 def _table_peak(*argv) -> int:
     """tracemalloc's peak over one ``table`` run written to the null device."""
     tracemalloc.start()
@@ -345,16 +390,22 @@ class _PipeClosedAfterOneWrite(io.StringIO):
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_table_stops_computing_at_a_closed_pipe(capsys, monkeypatch, fmt):
     # each row is written before the next is computed; text first computes the
-    # a_min and a_max rows, which size its columns
-    asked = []
-    summary = fib_family.family_summary
+    # a_min and a_max rows, which size its columns.  verify writes each a's row
+    # as soon as that a is checked, in every format
+    asked, checked = [], []
+    summary, verify_one = fib_family.family_summary, cli._verify_one
     monkeypatch.setattr(fib_family, "family_summary", lambda a: asked.append(a) or summary(a))
-    monkeypatch.setattr(sys, "stdout", _PipeClosedAfterOneWrite())
-    code = main(["table", "0", "5000", "--format", fmt])
-    monkeypatch.undo()
-    assert code == EXIT_RESOURCE
-    assert len(asked) <= (3 if fmt == "text" else 2), len(asked)
-    assert capsys.readouterr().err == "fibsemi: cannot write output: [Errno 32] Broken pipe\n"
+    monkeypatch.setattr(cli, "_verify_one",
+                        lambda a, *rest: checked.append(a) or verify_one(a, *rest))
+    for argv in (["table", "0", "5000"], ["verify", "5000"]):
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", _PipeClosedAfterOneWrite())
+            code = main([*argv, "--format", fmt])
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err == "fibsemi: cannot write output: [Errno 32] Broken pipe\n"
+        if argv[0] == "table":
+            assert len(asked) <= (3 if fmt == "text" else 2), len(asked)
+    assert checked == [3, 4]
 
 
 @given(st.integers(0, 400), st.integers(0, 400))
@@ -516,6 +567,15 @@ def forks(monkeypatch):
     return made
 
 
+def _without_ms(out: str) -> str:
+    """``verify``'s text with each a's timing, which varies, stripped."""
+    return re.sub(r" \d+ms$", "", out, flags=re.M)
+
+
+def _golden_lines(snapshot: str, count: int) -> str:
+    return "".join((GOLDEN / snapshot).read_text().splitlines(keepends=True)[:count])
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -592,7 +652,8 @@ def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
     _misread_in_block(monkeypatch, 9, broken)
     code, out, err = run(capsys, "verify", "12")
     assert code == EXIT_INTERNAL
-    assert out == ""
+    # the rows of a = 3..8, written as each a was checked
+    assert _without_ms(out) == _golden_lines("verify_20.txt", 6)
     assert err == "fibsemi: internal error: RuntimeError: block 9 broke at f_0\n"
     assert forks == []
 
@@ -609,7 +670,8 @@ def test_verify_out_of_memory_mid_sweep_leaves_no_child(capsys, monkeypatch, cpu
     monkeypatch.setattr(NumericalSemigroup, "summary", summary)
     code, out, err = run(capsys, "verify", "20")
     assert code == EXIT_RESOURCE
-    assert (out, err) == ("", "fibsemi: out of memory\n")
+    assert (_without_ms(out), err) == (_golden_lines("verify_20.txt", 8),
+                                       "fibsemi: out of memory\n")  # a = 3..10
     assert forks == []
     _no_child_left()
 

@@ -78,17 +78,18 @@ def test_unused_imports_finds_what_is_never_read(source, unused):
     assert unused_imports(ast.parse(source)) == unused
 
 
-# Loaded by none of these runs: dataclasses pulls in inspect, json is only
-# for the JSON output of info, semigroup and verify, and csv only for their CSV
-# output.  signal wraps _signal, which start-up loads, in enums; the fork reads
-# _signal.  typing comes in with some site .pth files, hence -S.
+# Loaded by none of these runs: dataclasses pulls in inspect, json only
+# escapes a JSON string cell (verify's skip texts), and csv is never loaded:
+# the CLI writes CSV and JSON itself.  signal wraps _signal, which start-up
+# loads, in enums; the fork reads _signal.  typing comes in with some site .pth
+# files, hence -S.
 UNUSED = ("dataclasses", "inspect", "typing", "json", "csv", "signal")
 
 
 def loaded_after(*argvs: list[str]) -> list[str]:
     """Run ``fibsemi.cli.main`` on each argv in a fresh ``python -S`` and
     return which of UNUSED it left in ``sys.modules``, then "fork" once for
-    each child it forked."""
+    each child it forked, as the last line of stderr, after the CLI's own."""
     code = (
         "import os, sys\n"
         "from fibsemi.cli import main\n"
@@ -98,21 +99,25 @@ def loaded_after(*argvs: list[str]) -> list[str]:
         f"codes = [main(argv) for argv in {argvs!r}]\n"
         "assert codes == [0] * len(codes), codes\n"
         f"loaded = [m for m in {UNUSED!r} if m in sys.modules]\n"
-        "sys.stderr.write(' '.join(loaded + ['fork'] * len(forks)))\n"
+        "sys.stderr.write('\\n' + ' '.join(loaded + ['fork'] * len(forks)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    return proc.stderr.split()
+    return proc.stderr.rsplit("\n", 1)[-1].split()
 
 
 def test_the_cli_loads_no_module_it_does_not_use():
+    # every command writes CSV and JSON's layout itself
     assert loaded_after(["table", "0", "40", "--format", "csv"],
                         ["apery", "8", "--format", "csv"],
                         ["verify", "6"],
-                        # both write JSON's layout by hand
                         ["table", "0", "40", "--format", "json"],
-                        ["apery", "8", "--format", "json"]) == []
+                        ["apery", "8", "--format", "json"],
+                        *([command, *args, "--format", fmt]
+                          for command, *args in (["info", "3"], ["semigroup", "6", "9", "20"],
+                                                 ["verify", "6"])
+                          for fmt in ("csv", "json"))) == []
 
 
 def usable_cpus() -> int:
@@ -131,11 +136,8 @@ def test_forking_loads_no_module_it_does_not_use():
 
 
 def test_json_is_loaded_to_write_json():
-    assert loaded_after(["info", "3", "--format", "json"]) == ["json"]
-
-
-def test_csv_is_loaded_to_write_csv():
-    assert loaded_after(["info", "3", "--format", "csv"]) == ["csv"]
+    # a = 3 needs 4 cells, so its row skips the oracle with a string
+    assert loaded_after(["verify", "3", "--oracle-bound", "1", "--format", "json"]) == ["json"]
 
 
 MODULES = (fibonacci, semigroup_core, fib_family)
