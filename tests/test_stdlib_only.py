@@ -140,6 +140,12 @@ def test_json_is_loaded_to_write_json():
     assert loaded_after(["verify", "3", "--oracle-bound", "1", "--format", "json"]) == ["json"]
 
 
+def test_csv_is_not_loaded_to_write_csv():
+    # the same skip string as a CSV cell loads neither csv nor json
+    assert loaded_after(["verify", "3", "--oracle-bound", "1", "--format", "csv"],
+                        ["info", "3", "--format", "csv"]) == []
+
+
 MODULES = (fibonacci, semigroup_core, fib_family)
 
 
