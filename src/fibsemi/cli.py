@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     tables = argparse.ArgumentParser(add_help=False)
     tables.add_argument(
         "--table-bound", type=_positive, default=DEFAULT_TABLE_BOUND, metavar="N",
-        help=f"largest f_a, the residue count, for apery's table and verify's "
-             f"closed-form bitset (default {DEFAULT_TABLE_BOUND})",
+        help=f"largest f_a, the residue count, for apery's table and for verify's "
+             f"closed-form bitset and Zeckendorf block (default {DEFAULT_TABLE_BOUND})",
     )
 
     parser = _Parser(
@@ -301,27 +301,30 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 class _VerifyOutcome:
-    def __init__(self, record: dict) -> None:
+    def __init__(self, record: dict, holds: bool) -> None:
         self.record = record
+        self.holds = holds  # whether Zeckendorf blocks 3..a all hold, once a's is checked
         self.failures: list[str] = []
         self.skipped: list[str] = []
 
 
-def _verify_one(a: int, args: argparse.Namespace, bijection: bool) -> _VerifyOutcome:
+def _verify_one(a: int, args: argparse.Namespace, holds: bool) -> _VerifyOutcome:
     """Run every check available for one parameter.
 
     The record is ``family_summary``'s, which reads the closed forms through
     the ``fib_family`` namespace, so a perturbed function is actually
     exercised.  A resource limit marks a check skipped, never failed.
-    ``bijection`` is whether the Zeckendorf bijection onto 1..f_a - 1 holds,
-    as ``cmd_verify`` checked it; it is read for every a <= MAX_BIJECTION_INDEX
-    and reported as skipped above.
+    ``holds`` is whether Zeckendorf blocks 3..a - 1 hold, as ``cmd_verify``
+    checked them.  Block a is checked exactly where ``--table-bound`` lets the
+    family bitset at a be built, and is skipped with it elsewhere; the
+    outcome's ``holds`` adds block a, and the bijection onto 1..f_a - 1 is
+    checked as that conjunction.
     """
     s = fib_family.family_summary(a)
     gens = s.generators  # the only generator tuple built for this index
     m, f, g, n = s.multiplicity, s.frobenius, s.genus, s.n_count
     fa = fib(a)
-    out = _VerifyOutcome(_record(s))
+    out = _VerifyOutcome(_record(s), holds)
 
     def check(label: str, ok: bool) -> None:
         if not ok:
@@ -339,17 +342,15 @@ def _verify_one(a: int, args: argparse.Namespace, bijection: bool) -> _VerifyOut
         else (a - 2) * (3 * a - 8) * fa - 2 * a * (a - 1) * fa2))
     if a >= 5:
         check("genus-recurrence", fib_family.family_genus_recurrence_check(a))
-    if a <= fib_family.MAX_BIJECTION_INDEX:
-        check("zeckendorf-bijection", bijection)
-    else:
-        out.skipped.append("zeckendorf-bijection")
 
     try:
         family_bits = fib_family.family_apery_bitset(a, table_bound=args.table_bound)
     except TableTooLarge:
         family_bits = None
-        out.skipped.append("apery-table")
+        out.skipped += ["zeckendorf-bijection", "apery-table"]
     else:
+        out.holds &= fib_family.zeckendorf_block_check(a)
+        check("zeckendorf-bijection", out.holds)
         check("apery-max-frobenius", family_bits.bit_length() - 1 - fa == f)
         # window k of the bitset holds the residues with beta = k
         check("apery-beta-sum-genus", _window_sum(family_bits, fa) == g)
@@ -462,17 +463,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Check a = 3..a_max in order, timing each a with its Zeckendorf block,
     and write each a's row, and its mismatch lines, as soon as that a is
     checked: a run stopped mid-sweep leaves the rows it wrote.  Each block
-    k <= MAX_BIJECTION_INDEX is checked once over the sweep, and the bijection
-    at a is the conjunction of blocks 3..a, which checks every block even
-    after one has failed."""
+    that ``--table-bound`` admits is checked once over the sweep, by
+    :func:`_verify_one`, and the bijection at a is the conjunction of blocks
+    3..a, which checks every block even after one has failed."""
     fmt, out, params = args.format, sys.stdout, range(3, args.a_max + 1)
     head, row, sep, tail = _rows(fmt, TABLE_FIELDS + ("verified", "skipped"), "%s")
     holds, lead, failed, total_ms = True, head, 0, 0  # holds: blocks 3..a all hold
     for a in params:
         t0 = time.perf_counter()
-        if a <= fib_family.MAX_BIJECTION_INDEX:
-            holds &= fib_family.zeckendorf_block_check(a)
         o = _verify_one(a, args, holds)
+        holds = o.holds
         ms = int((time.perf_counter() - t0) * 1000)
         total_ms += ms
         failed += bool(o.failures)

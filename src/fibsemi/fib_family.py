@@ -19,7 +19,6 @@ from .semigroup_core import AperyTable, ResourceLimit
 __all__ = [
     "TableTooLarge",
     "DEFAULT_TABLE_BOUND",
-    "MAX_BIJECTION_INDEX",
     "family_generators",
     "family_apery",
     "family_apery_bitset",
@@ -35,8 +34,7 @@ __all__ = [
     "family_summary",
 ]
 
-DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a (residues) of an Apery table or bitset
-MAX_BIJECTION_INDEX = 25  # largest a the Zeckendorf bijection check enumerates
+DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a (residues) of an Apery table, bitset or block
 
 # Bytes of memory per entry of a family_apery table: one 8-byte tuple slot and
 # one int.  tracemalloc reads 40.0 B per entry at a = 22 and a = 28.
@@ -232,8 +230,8 @@ def zeckendorf_block_check(k: int) -> bool:
     enumeration reach each one.  Also checks f_k = sum over j of
     kaplansky_count(k, j), the count of all sparse subsets of {2..k - 1}.
     """
-    if not 3 <= k <= MAX_BIJECTION_INDEX:
-        raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
+    if k < 3:
+        raise ValueError("the bijection check needs index at least 3")
     fibs = [fib(i) for i in range(k + 1)]
     top = (k - 1) // 2  # a sparse subset of {2..k - 1} has at most top members
     per_size = [0, 1] + [0] * (top - 1)  # counting the first set, {k - 1}
@@ -264,11 +262,12 @@ def zeckendorf_bijection_check(a: int) -> bool:
 
     The blocks [f_{k-1}, f_k) for k = 3..a split 1..f_a - 1 (f_2 = 1) as the
     top member k - 1 splits the subsets, and :func:`zeckendorf_block_check`
-    makes each block a bijection onto its class.  ``verify`` checks the blocks
-    itself, each once over its sweep.
+    makes each block a bijection onto its class: under f_a steps in all, which
+    neither function bounds.  ``verify`` checks the blocks itself, each once
+    over its sweep, block a wherever ``--table-bound`` admits the bitset at a.
     """
-    if not 3 <= a <= MAX_BIJECTION_INDEX:
-        raise ValueError(f"bijection check supports 3 <= a <= {MAX_BIJECTION_INDEX}")
+    if a < 3:
+        raise ValueError("the bijection check needs index at least 3")
     return all(zeckendorf_block_check(k) for k in range(3, a + 1))
 
 

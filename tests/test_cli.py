@@ -470,12 +470,13 @@ def test_verify_oracle_bound_is_the_cell_budget(capsys):
 
 
 def test_verify_table_bound_is_f_a(capsys):
-    # f_10 = 55 residues; only a = 10 has more than 54
+    # f_10 = 55 residues; only a = 10 has more than 54, and its Zeckendorf
+    # block, the last of the bijection onto them, goes with its bitset
     code, out, _ = run(capsys, "verify", "10", "--table-bound", "54")
     assert code == EXIT_OK
     skipped = [l for l in out.splitlines() if "skipped" in l]
     assert len(skipped) == 1
-    assert skipped[0].startswith("a=10 m=55 ok skipped[apery-table] ")
+    assert skipped[0].startswith("a=10 m=55 ok skipped[zeckendorf-bijection, apery-table] ")
     code, out, _ = run(capsys, "verify", "10", "--table-bound", "55")
     assert code == EXIT_OK
     assert "skipped" not in out
@@ -523,23 +524,56 @@ def test_verify_machine_formats_report_skipped_checks(capsys):
 
 
 def test_verify_reports_the_skipped_bijection_check(capsys, monkeypatch):
-    # the Zeckendorf bijection is checked only up to a = 25
-    code, out, _ = run(capsys, "verify", "26", "--oracle-bound", "1",
-                       "--table-bound", "1", "--format", "csv")
+    # the Zeckendorf bijection is checked up to the bound's a, f_25 = 75,025
+    bounded = ("verify", "26", "--oracle-bound", "1", "--table-bound", "75025")
+    code, out, _ = run(capsys, *bounded, "--format", "csv")
     assert code == EXIT_OK
     rows = {int(r["a"]): r["skipped"].split("; ") for r in csv.DictReader(io.StringIO(out))}
     assert rows[26] == ["zeckendorf-bijection", "apery-table", _budget_skip(121393, 1)]
     assert not any("zeckendorf-bijection" in rows[a] for a in range(3, 26))
     # verify walks the bijection block by block; even all blocks passing skips a = 26
     monkeypatch.setattr(fib_family, "zeckendorf_block_check", lambda k: True)
-    code, out, _ = run(capsys, "verify", "26", "--oracle-bound", "1",
-                       "--table-bound", "1", "--format", "json")
+    code, out, _ = run(capsys, *bounded, "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)[-1]["skipped"][0] == "zeckendorf-bijection"
-    code, out, _ = run(capsys, "verify", "26", "--oracle-bound", "1",
-                       "--table-bound", "1")
+    code, out, _ = run(capsys, *bounded)
     assert code == EXIT_OK
     assert "skipped[zeckendorf-bijection, " in out.splitlines()[-2]
+
+
+def _skips(fmt: str, out: str) -> dict[int, list[str]]:
+    """Each a's skipped checks in ``verify``'s output in ``fmt``."""
+    if fmt == "json":
+        return {r["a"]: r["skipped"] for r in json.loads(out)}
+    if fmt == "csv":
+        return {int(r["a"]): r["skipped"].split("; ") if r["skipped"] else []
+                for r in csv.DictReader(io.StringIO(out))}
+    lines = [re.fullmatch(r"a=(\d+) m=\d+ \w+(?: skipped\[(.*)\])? \d+ms", line)
+             for line in out.splitlines()[:-1]]
+    return {int(m[1]): m[2].split(", ") if m[2] else [] for m in lines}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("bound", [54, 55, 88, 89, 143, 144])
+def test_verify_skips_the_bijection_exactly_where_the_bitset(capsys, fmt, bound):
+    # f_10, f_11, f_12 = 55, 89, 144: a block is checked at each a whose
+    # family bitset --table-bound admits, and skipped with it at each other a
+    code, out, _ = run(capsys, "verify", "12", "--table-bound", str(bound),
+                       "--format", fmt)
+    assert code == EXIT_OK
+    skips = _skips(fmt, out)
+    assert list(skips) == list(range(3, 13))
+    assert skips == {a: ["zeckendorf-bijection", "apery-table"] if fib(a) > bound else []
+                     for a in skips}
+
+
+def test_verify_checks_the_bijection_up_to_a_30_at_the_defaults(capsys):
+    # f_30 = 832,040 is within the default bound of 1,000,000; f_31 is not
+    code, out, _ = run(capsys, "verify", "30", "--format", "csv")
+    assert code == EXIT_OK
+    skips = _skips("csv", out)
+    assert list(skips) == list(range(3, 31))
+    assert not any("zeckendorf-bijection" in s for s in skips.values())
 
 
 @pytest.fixture(params=[2, 1], ids=["forked", "in-process"])
@@ -617,11 +651,16 @@ def test_verify_walks_each_residue_once(capsys, monkeypatch, forks):
     assert code == EXIT_OK
     assert made == list(range(3, 25))
     assert forks == []
+    # --table-bound stops the walk where it stops the bitsets: f_10 = 55 <= 88 < f_11
+    made.clear()
+    code, _, _ = run(capsys, "verify", "12", "--table-bound", "88")
+    assert code == EXIT_OK
+    assert made == list(range(3, 11))
 
 
 def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
-    # a = 25 is MAX_BIJECTION_INDEX: every supported Zeckendorf block checked,
-    # by this process alone on one CPU or two
+    # every Zeckendorf block of 1..f_25 - 1 checked, by this process alone on
+    # one CPU or two
     code, out, _ = run(capsys, "verify", "25", "--format", "csv")
     assert code == EXIT_OK
     assert out == (GOLDEN / "verify_25.csv").read_text()
@@ -1084,13 +1123,12 @@ def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatc
     failed = {int(line.split()[0][2:]) for line in out.splitlines() if " FAIL" in line}
     assert failed == set(range(7, 13))
     assert out.count("  mismatch:") == out.count("  mismatch: zeckendorf-bijection\n") == 6
-    # one parameter reports the bijection it is handed: verify 12 above holds
-    # block a together with the blocks below it
+    # one parameter is handed whether blocks 3..a - 1 hold, checks block a
+    # itself, and returns the conjunction for the next a
     args = cli.build_parser().parse_args(["verify", "10", "--oracle-bound", "1"])
-    assert cli._verify_one(10, args, True).failures == []
-    assert cli._verify_one(10, args, False).failures == ["zeckendorf-bijection"]
-    assert cli._verify_one(7, args, fib_family.zeckendorf_block_check(7)).failures == [
-        "zeckendorf-bijection"]
+    for a, below, holds in [(10, True, True), (10, False, False), (7, True, False)]:
+        o = cli._verify_one(a, args, below)
+        assert (o.failures, o.holds) == ([] if holds else ["zeckendorf-bijection"], holds)
 
 
 def _mismatches(out: str) -> list[str]:

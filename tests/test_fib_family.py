@@ -353,10 +353,10 @@ def test_bijection_check_examples():
     assert zeckendorf_bijection_check(3)
     assert zeckendorf_bijection_check(7)
     assert zeckendorf_bijection_check(20)
-    with pytest.raises(ValueError):
-        zeckendorf_bijection_check(2)
-    with pytest.raises(ValueError):
-        zeckendorf_bijection_check(26)
+    assert zeckendorf_bijection_check(26)  # no cap of its own past a = 25
+    for bad in (-1, 0, 2):
+        with pytest.raises(ValueError):
+            zeckendorf_bijection_check(bad)
 
 
 def _misread(monkeypatch, j: int, value: int) -> None:
@@ -396,9 +396,13 @@ def test_bijection_check_fails_from_the_block_of_a_bad_key_on(monkeypatch, k):
 
 
 def test_bijection_check_holds_for_every_walked_index():
+    # verify checks block k wherever it builds the family bitset at k: at the
+    # default bound, f_30 = 832,040 residues, blocks 3..30
+    top = gamma(DEFAULT_TABLE_BOUND)
+    assert top == 30
     assert all(zeckendorf_bijection_check(a) for a in range(3, 26))
-    assert all(zeckendorf_block_check(k) for k in range(3, 26))
-    for bad in (2, 26):
+    assert all(zeckendorf_block_check(k) for k in range(3, top + 1))
+    for bad in (-1, 0, 2):
         with pytest.raises(ValueError):
             zeckendorf_block_check(bad)
 
