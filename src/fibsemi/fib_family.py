@@ -28,13 +28,12 @@ __all__ = [
     "family_genus_sum",
     "family_genus_recurrence_check",
     "kaplansky_count",
-    "zeckendorf_block_check",
     "zeckendorf_bijection_check",
     "FamilySummary",
     "family_summary",
 ]
 
-DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a (residues) of an Apery table, bitset or block
+DEFAULT_TABLE_BOUND = 1_000_000  # largest f_a (residues) of an Apery table or bitset
 
 # Bytes of memory per entry of a family_apery table: one 8-byte tuple slot and
 # one int.  tracemalloc reads 40.0 B per entry at a = 22 and a = 28.
@@ -212,63 +211,28 @@ def kaplansky_count(n: int, m: int) -> int:
     return comb(n - 1 - m, m)
 
 
-def zeckendorf_block_check(k: int) -> bool:
-    """The sparse subsets of {2..k - 1} with top member k - 1 sum one to one
-    onto [f_{k-1}, f_k): Zeckendorf's theorem on one block.
-
-    The sets are enumerated on one int mask d, bit i standing for f_i, from
-    {k - 1}, worth f_{k-1}.  Each step sets the lowest bit i >= 2 with bits i
-    and i + 1 clear and clears every bit below it, so each set is sparse, has
-    members >= 2 and is a larger mask than the one before.  Its value and size
-    are kept up to date from the bits set and cleared, and each set must be
-    worth one more than the one before, the last f_k - 1, so distinct sets sum
-    onto the block.  That also keeps the top member k - 1: with bit k - 1 set,
-    i is never k - 2 or k - 1, and i = k would leave {k}, worth f_k, past the
-    block.  The sets of size m are the sparse m-subsets of {2..k - 1} less
-    those inside {2..k - 2}: kaplansky_count(k, m) - kaplansky_count(k - 1, m),
-    C(k - 2 - m, m - 1) by Pascal's rule, so matching counts make the
-    enumeration reach each one.  Also checks f_k = sum over j of
-    kaplansky_count(k, j), the count of all sparse subsets of {2..k - 1}.
-    """
-    if k < 3:
-        raise ValueError("the bijection check needs index at least 3")
-    fibs = [fib(i) for i in range(k + 1)]
-    top = (k - 1) // 2  # a sparse subset of {2..k - 1} has at most top members
-    per_size = [0, 1] + [0] * (top - 1)  # counting the first set, {k - 1}
-    d, value, size = 1 << (k - 1), fibs[k - 1], 1
-    for x in range(value + 1, fibs[k]):
-        free = ~(d | d >> 1) & ~3
-        i = (free & -free).bit_length() - 1
-        cleared = d & ((1 << i) - 1)
-        d ^= cleared | 1 << i
-        value += fibs[i]
-        size += 1
-        while cleared:
-            j = cleared.bit_length() - 1
-            value -= fibs[j]
-            size -= 1
-            cleared ^= 1 << j
-        if value != x:
-            return False
-        per_size[size] += 1
-    return (value == fibs[k] - 1  # the last set, also where no step was taken
-            and per_size == [kaplansky_count(k, m) - kaplansky_count(k - 1, m)
-                             for m in range(top + 1)]
-            and fibs[k] == sum(kaplansky_count(k, j) for j in range(top + 1)))
-
-
 def zeckendorf_bijection_check(a: int) -> bool:
-    """The nonempty sparse subsets of {2..a - 1} sum one to one onto 1..f_a - 1.
+    """The sparse subsets of {2..a - 1} sum one to one onto [0, f_a):
+    Zeckendorf's theorem below f_a.
 
-    The blocks [f_{k-1}, f_k) for k = 3..a split 1..f_a - 1 (f_2 = 1) as the
-    top member k - 1 splits the subsets, and :func:`zeckendorf_block_check`
-    makes each block a bijection onto its class: under f_a steps in all, which
-    neither function bounds.  ``verify`` checks the blocks itself, each once
-    over its sweep, block a wherever ``--table-bound`` admits the bitset at a.
+    T_j, the int with bit s set for each sum s of a sparse subset of
+    {j..a - 1}, is built down by the lowest member from T_a = T_{a+1} = 1 (the
+    empty set): a subset omits j, or holds j and omits j + 1, so
+    T_j = T_{j+1} | (T_{j+2} << f_j).  The check holds when there are f_a
+    subsets, sum_m kaplansky_count(a, m), and T_2 is all of [0, f_a): f_a
+    subsets whose sums fill f_a bits sum one to one.  It reads only ``fib``
+    and ``kaplansky_count``, never :func:`family_apery_bitset`, which splits
+    by the top member instead.
     """
     if a < 3:
         raise ValueError("the bijection check needs index at least 3")
-    return all(zeckendorf_block_check(k) for k in range(3, a + 1))
+    fa = fib(a)
+    if sum(kaplansky_count(a, m) for m in range((a - 1) // 2 + 1)) != fa:
+        return False
+    above, sums = 1, 1  # T_{j+2} and T_{j+1}
+    for j in range(a - 1, 1, -1):
+        above, sums = sums, sums | above << fib(j)
+    return sums == (1 << fa) - 1
 
 
 class FamilySummary(namedtuple(

@@ -471,7 +471,7 @@ def test_verify_oracle_bound_is_the_cell_budget(capsys):
 
 def test_verify_table_bound_is_f_a(capsys):
     # f_10 = 55 residues; only a = 10 has more than 54, and its Zeckendorf
-    # block, the last of the bijection onto them, goes with its bitset
+    # bijection onto them goes with its bitset
     code, out, _ = run(capsys, "verify", "10", "--table-bound", "54")
     assert code == EXIT_OK
     skipped = [l for l in out.splitlines() if "skipped" in l]
@@ -485,7 +485,7 @@ def test_verify_table_bound_is_f_a(capsys):
 def test_verify_default_oracle_budget_names_itself():
     # one parameter only: verify 31 would first run the oracle for every a <= 29
     args = cli.build_parser().parse_args(["verify", "31", "--table-bound", "1"])
-    outcome = cli._verify_one(31, args, True)
+    outcome = cli._verify_one(31, args)
     assert outcome.failures == []
     assert outcome.skipped == ["zeckendorf-bijection", "apery-table",
                                _budget_skip(1346269, 10_000_000)]
@@ -531,8 +531,8 @@ def test_verify_reports_the_skipped_bijection_check(capsys, monkeypatch):
     rows = {int(r["a"]): r["skipped"].split("; ") for r in csv.DictReader(io.StringIO(out))}
     assert rows[26] == ["zeckendorf-bijection", "apery-table", _budget_skip(121393, 1)]
     assert not any("zeckendorf-bijection" in rows[a] for a in range(3, 26))
-    # verify walks the bijection block by block; even all blocks passing skips a = 26
-    monkeypatch.setattr(fib_family, "zeckendorf_block_check", lambda k: True)
+    # the bound, not the proof, skips it: even a proof passing everywhere skips a = 26
+    monkeypatch.setattr(fib_family, "zeckendorf_bijection_check", lambda a: True)
     code, out, _ = run(capsys, *bounded, "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)[-1]["skipped"][0] == "zeckendorf-bijection"
@@ -556,7 +556,7 @@ def _skips(fmt: str, out: str) -> dict[int, list[str]]:
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("bound", [54, 55, 88, 89, 143, 144])
 def test_verify_skips_the_bijection_exactly_where_the_bitset(capsys, fmt, bound):
-    # f_10, f_11, f_12 = 55, 89, 144: a block is checked at each a whose
+    # f_10, f_11, f_12 = 55, 89, 144: the bijection is proved at each a whose
     # family bitset --table-bound admits, and skipped with it at each other a
     code, out, _ = run(capsys, "verify", "12", "--table-bound", str(bound),
                        "--format", fmt)
@@ -573,6 +573,17 @@ def test_verify_checks_the_bijection_up_to_a_30_at_the_defaults(capsys):
     assert code == EXIT_OK
     skips = _skips("csv", out)
     assert list(skips) == list(range(3, 31))
+    assert not any("zeckendorf-bijection" in s for s in skips.values())
+
+
+def test_verify_proves_the_bijection_up_to_a_32_past_the_default_bound(capsys):
+    # f_32 = 2,178,309: a bound raised to it proves a = 31 and 32 too, each
+    # in milliseconds; the oracle is skipped throughout
+    code, out, _ = run(capsys, "verify", "32", "--oracle-bound", "1",
+                       "--table-bound", "2178309", "--format", "csv")
+    assert code == EXIT_OK
+    skips = _skips("csv", out)
+    assert list(skips) == list(range(3, 33))
     assert not any("zeckendorf-bijection" in s for s in skips.values())
 
 
@@ -615,43 +626,43 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _logged_block_checks(monkeypatch) -> list[int]:
-    """The k of each Zeckendorf block check, in the order they are made."""
-    made, real = [], fib_family.zeckendorf_block_check
+def _logged_proofs(monkeypatch) -> list[int]:
+    """The a of each Zeckendorf bijection proof, in the order they are made."""
+    made, real = [], fib_family.zeckendorf_bijection_check
 
-    def check(k):
-        made.append(k)
-        return real(k)
+    def check(a):
+        made.append(a)
+        return real(a)
 
-    monkeypatch.setattr(fib_family, "zeckendorf_block_check", check)
+    monkeypatch.setattr(fib_family, "zeckendorf_bijection_check", check)
     return made
 
 
-def _misread_in_block(monkeypatch, k: int, read) -> None:
-    """Block k's check reads f_j as ``read(j)``, as a faulty successor step
-    would; every other block and every other check reads ``fib``."""
-    real = fib_family.zeckendorf_block_check
+def _misread_in_proofs(monkeypatch, at, read) -> None:
+    """The bijection proof at each a in ``at`` reads f_j as ``read(j)``, as a
+    faulty proof would; every other a and every other check reads ``fib``."""
+    real = fib_family.zeckendorf_bijection_check
 
-    def check(block):
-        if block != k:
-            return real(block)
+    def check(a):
+        if a not in at:
+            return real(a)
         with monkeypatch.context() as m:
             m.setattr(fib_family, "fib", read)
-            return real(block)
+            return real(a)
 
-    monkeypatch.setattr(fib_family, "zeckendorf_block_check", check)
+    monkeypatch.setattr(fib_family, "zeckendorf_bijection_check", check)
 
 
 def test_verify_walks_each_residue_once(capsys, monkeypatch, forks):
-    # block k enumerates the residues [f_{k-1}, f_k) once, and blocks 3..24
-    # split 1..f_24 - 1: each is checked once, in this process, on two CPUs too
+    # the bijection at a is one proof over [0, f_a): each admitted a is
+    # proved once, in this process, on two CPUs too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    made = _logged_block_checks(monkeypatch)
+    made = _logged_proofs(monkeypatch)
     code, _, _ = run(capsys, "verify", "24")
     assert code == EXIT_OK
     assert made == list(range(3, 25))
     assert forks == []
-    # --table-bound stops the walk where it stops the bitsets: f_10 = 55 <= 88 < f_11
+    # --table-bound stops the proofs where it stops the bitsets: f_10 = 55 <= 88 < f_11
     made.clear()
     code, _, _ = run(capsys, "verify", "12", "--table-bound", "88")
     assert code == EXIT_OK
@@ -659,8 +670,8 @@ def test_verify_walks_each_residue_once(capsys, monkeypatch, forks):
 
 
 def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
-    # every Zeckendorf block of 1..f_25 - 1 checked, by this process alone on
-    # one CPU or two
+    # the Zeckendorf bijection proved at every a up to 25, by this process
+    # alone on one CPU or two
     code, out, _ = run(capsys, "verify", "25", "--format", "csv")
     assert code == EXIT_OK
     assert out == (GOLDEN / "verify_25.csv").read_text()
@@ -669,13 +680,14 @@ def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
 
 
 def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, cpus, forks):
-    # block 5 misreads f_2 as 2 in its one step, {4} to {2, 4}; every later
-    # block is still checked, once, by this process alone
-    _misread_in_block(monkeypatch, 5, lambda i: 2 if i == 2 else fib(i))
-    made = _logged_block_checks(monkeypatch)
+    # the proof at a = 5 misreads f_2 as 2; every later a is still proved,
+    # once, by this process alone, and passes, since no a reads another's proof
+    _misread_in_proofs(monkeypatch, {5}, lambda i: 2 if i == 2 else fib(i))
+    made = _logged_proofs(monkeypatch)
     code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1")
     assert code == EXIT_MISMATCH
-    assert out.count("  mismatch: zeckendorf-bijection\n") == 8  # a = 5..12
+    assert out.count("  mismatch: zeckendorf-bijection\n") == 1
+    assert "a=5 m=5 FAIL " in out
     assert made == list(range(3, 13))
     assert forks == []
     _no_child_left()
@@ -683,17 +695,17 @@ def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, cpus, for
 
 def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
         capsys, monkeypatch, cpus, forks):
-    # block 9 of verify 12 would be a child's share were verify to fork; on
-    # one CPU or two it is checked here, and its raising is one internal error
+    # a = 9 of verify 12 would be a child's share were verify to fork; on one
+    # CPU or two it is proved here, and its raising is one internal error
     def broken(i):
-        raise RuntimeError(f"block 9 broke at f_{i}")
+        raise RuntimeError(f"the proof at 9 broke at f_{i}")
 
-    _misread_in_block(monkeypatch, 9, broken)
+    _misread_in_proofs(monkeypatch, {9}, broken)
     code, out, err = run(capsys, "verify", "12")
     assert code == EXIT_INTERNAL
     # the rows of a = 3..8, written as each a was checked
     assert _without_ms(out) == _golden_lines("verify_20.txt", 6)
-    assert err == "fibsemi: internal error: RuntimeError: block 9 broke at f_0\n"
+    assert err == "fibsemi: internal error: RuntimeError: the proof at 9 broke at f_9\n"
     assert forks == []
 
 
@@ -1115,20 +1127,17 @@ def test_apery_child_gone_after_k_blocks_changes_no_byte(capsys, monkeypatch, fo
 
 
 def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatch):
-    # block 7, [f_6, f_7) = [8, 13), misreads f_4 = 3 as 4: its step from
-    # {2, 6}, worth 9, to {3, 6} is fine, but the one to {4, 6} reaches 12, not 11
-    _misread_in_block(monkeypatch, 7, lambda i: 4 if i == 4 else fib(i))
+    # every proof misreads f_7 = 13 as 14: the proof at 7 reads it as f_a,
+    # each proof above as a shift, and no proof below 7 reads it
+    _misread_in_proofs(monkeypatch, range(3, 13), lambda i: 14 if i == 7 else fib(i))
     code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1")
     assert code == EXIT_MISMATCH
     failed = {int(line.split()[0][2:]) for line in out.splitlines() if " FAIL" in line}
     assert failed == set(range(7, 13))
     assert out.count("  mismatch:") == out.count("  mismatch: zeckendorf-bijection\n") == 6
-    # one parameter is handed whether blocks 3..a - 1 hold, checks block a
-    # itself, and returns the conjunction for the next a
+    # one parameter proves the bijection at a alone
     args = cli.build_parser().parse_args(["verify", "10", "--oracle-bound", "1"])
-    for a, below, holds in [(10, True, True), (10, False, False), (7, True, False)]:
-        o = cli._verify_one(a, args, below)
-        assert (o.failures, o.holds) == ([] if holds else ["zeckendorf-bijection"], holds)
+    assert [cli._verify_one(a, args).failures for a in (6, 7)] == [[], ["zeckendorf-bijection"]]
 
 
 def _mismatches(out: str) -> list[str]:

@@ -23,11 +23,12 @@ from fibsemi.fib_family import (
     family_summary,
     kaplansky_count,
     zeckendorf_bijection_check,
-    zeckendorf_block_check,
 )
 from fibsemi.fibonacci import beta, fib, gamma, zeckendorf_indices
 from fibsemi.semigroup_core import NumericalSemigroup, ResourceLimit
 from sparse_subsets import EnumerationTooLarge, enumerate_sparse_subsets
+import zeckendorf_blocks
+from zeckendorf_blocks import zeckendorf_bijection_by_blocks, zeckendorf_block_check
 
 
 # -- generators --------------------------------------------------------------
@@ -359,15 +360,17 @@ def test_bijection_check_examples():
             zeckendorf_bijection_check(bad)
 
 
-def _misread(monkeypatch, j: int, value: int) -> None:
-    """A bad key: fib_family reads f_j, the value of bit j of the block
-    check's mask, as ``value``, and every other Fibonacci number as it is."""
-    monkeypatch.setattr(fib_family, "fib", lambda i: value if i == j else fib(i))
+def _misread(monkeypatch, j: int, value: int, module=fib_family) -> None:
+    """A bad key: ``module`` reads f_j as ``value``, and every other Fibonacci
+    number as it is.  fib_family's proof at a reads f_j as a shift for j < a
+    and as f_a at j = a; the block reference reads it as the value of bit j of
+    its mask."""
+    monkeypatch.setattr(module, "fib", lambda i: value if i == j else fib(i))
 
 
-# (j, f_j as the successor step reads it): one too low or one too high for
-# each f_j that a block below f_10 reads, and f_10 read as twice itself, which
-# runs block 10's steps past its last set, to {10}, worth more than the next x
+# (j, f_j as read): one too low or one too high for each f_j that the proof at
+# a = 10 reads, and f_10 read as twice itself: the proof's f_a, and the value
+# that runs block 10's steps past its last set, to {10}, worth more than the next x
 BAD_KEYS = [(j, fib(j) + delta) for j in range(2, 11) for delta in (-1, 1)] + [(10, 2 * fib(10))]
 
 
@@ -384,27 +387,61 @@ def test_block_check_rejects_a_bad_key_in_the_blocks_that_read_it(monkeypatch, j
     # block j reads f_j as its end and in its count, and block j + 1 as its
     # start; each block from j + 3 on steps to a set holding j.  Block j + 2,
     # whose top member is j + 1, never sets bit j, and no block below j reads f_j
-    _misread(monkeypatch, j, value)
+    _misread(monkeypatch, j, value, zeckendorf_blocks)
     failed = [k for k in range(3, 14) if not zeckendorf_block_check(k)]
     assert failed == [k for k in range(3, 14) if k in (j, j + 1) or k >= j + 3]
 
 
 @pytest.mark.parametrize("k", range(3, 11))
 def test_bijection_check_fails_from_the_block_of_a_bad_key_on(monkeypatch, k):
-    _misread(monkeypatch, k, fib(k) + 1)  # the end of block k
+    # the proof at a reads f_2..f_a, so f_k read one high fails it from a = k on
+    _misread(monkeypatch, k, fib(k) + 1)
     assert [zeckendorf_bijection_check(a) for a in range(3, 11)] == [a < k for a in range(3, 11)]
 
 
+def test_bijection_check_equals_the_block_reference(monkeypatch):
+    # the proof at a against blocks 3..a, each enumerated set by set
+    assert all(zeckendorf_bijection_check(a) == zeckendorf_bijection_by_blocks(a)
+               for a in range(3, 26))
+    # and with each bad key read by both: either fails from a = j on
+    for j, value in BAD_KEYS:
+        with monkeypatch.context() as m:
+            _misread(m, j, value)
+            _misread(m, j, value, zeckendorf_blocks)
+            assert [zeckendorf_bijection_check(a) for a in range(3, 13)] == [
+                zeckendorf_bijection_by_blocks(a) for a in range(3, 13)]
+
+
+def test_bijection_check_builds_no_family_bitset(monkeypatch):
+    # the bitset splits by the top member and the proof by the lowest, so a
+    # slip in one cannot cancel in the other while the proof never reads it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bijection proof read the family bitset")
+
+    monkeypatch.setattr(fib_family, "family_apery_bitset", refuse)
+    assert all(zeckendorf_bijection_check(a) for a in range(3, 21))
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_bijection_check_rejects_a_miscounted_size(monkeypatch, m):
+    # sums filling f_a bits make the proof onto; the count of f_a subsets makes
+    # it one to one, so one subset too many of any size must fail it
+    real = fib_family.kaplansky_count
+    monkeypatch.setattr(fib_family, "kaplansky_count",
+                        lambda n, size: real(n, size) + (size == m))
+    assert zeckendorf_bijection_check(10) is False
+
+
 def test_bijection_check_holds_for_every_walked_index():
-    # verify checks block k wherever it builds the family bitset at k: at the
-    # default bound, f_30 = 832,040 residues, blocks 3..30
+    # verify proves the bijection wherever it builds the family bitset: at
+    # the default bound, f_30 = 832,040 residues, a = 3..30
     top = gamma(DEFAULT_TABLE_BOUND)
     assert top == 30
-    assert all(zeckendorf_bijection_check(a) for a in range(3, 26))
-    assert all(zeckendorf_block_check(k) for k in range(3, top + 1))
+    assert all(zeckendorf_bijection_check(a) for a in range(3, top + 1))
     for bad in (-1, 0, 2):
-        with pytest.raises(ValueError):
-            zeckendorf_block_check(bad)
+        for check in (zeckendorf_bijection_check, zeckendorf_block_check):
+            with pytest.raises(ValueError):
+                check(bad)
 
 
 def test_block_check_class_sizes_for_k7():
@@ -414,15 +451,18 @@ def test_block_check_class_sizes_for_k7():
     assert zeckendorf_block_check(7)
 
 
-def test_bijection_check_memory_does_not_grow_with_fa():
-    fib(24)  # the Fibonacci memo is shared state, not the check's memory
+def test_bijection_check_memory_is_a_few_bitsets():
+    # the sums are ints of f_a bits, f_30 / 8 = 104,005 bytes each; the proof
+    # keeps two and makes two more per step, never a list of f_a entries
+    a = 30
+    fib(a)  # the Fibonacci memo is shared state, not the check's memory
     tracemalloc.start()
     try:
-        assert zeckendorf_bijection_check(24)
+        assert zeckendorf_bijection_check(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 256_000, peak
+    assert peak < 5 * fib(a) // 8, peak
 
 
 def test_bijection_class_sizes_for_a7():

@@ -131,7 +131,7 @@ def usable_cpus() -> int:
                     reason="the CLI forks only with two CPUs usable")
 def test_forking_loads_no_module_it_does_not_use():
     assert loaded_after(["apery", "22", "--format", "csv"]) == ["fork"]
-    # verify checks every Zeckendorf block in its own process
+    # verify proves the Zeckendorf bijection at each a in its own process
     assert loaded_after(["verify", "24"]) == []
 
 
