@@ -653,7 +653,7 @@ def _misread_in_proofs(monkeypatch, at, read) -> None:
     monkeypatch.setattr(fib_family, "zeckendorf_bijection_check", check)
 
 
-def test_verify_walks_each_residue_once(capsys, monkeypatch, forks):
+def test_verify_proves_each_admitted_a_once(capsys, monkeypatch, forks):
     # the bijection at a is one proof over [0, f_a): each admitted a is
     # proved once, in this process, on two CPUs too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -662,6 +662,7 @@ def test_verify_walks_each_residue_once(capsys, monkeypatch, forks):
     assert code == EXIT_OK
     assert made == list(range(3, 25))
     assert forks == []
+    _no_child_left()
     # --table-bound stops the proofs where it stops the bitsets: f_10 = 55 <= 88 < f_11
     made.clear()
     code, _, _ = run(capsys, "verify", "12", "--table-bound", "88")
@@ -669,17 +670,7 @@ def test_verify_walks_each_residue_once(capsys, monkeypatch, forks):
     assert made == list(range(3, 11))
 
 
-def test_verify_output_is_the_same_forked_or_not(capsys, cpus, forks):
-    # the Zeckendorf bijection proved at every a up to 25, by this process
-    # alone on one CPU or two
-    code, out, _ = run(capsys, "verify", "25", "--format", "csv")
-    assert code == EXIT_OK
-    assert out == (GOLDEN / "verify_25.csv").read_text()
-    assert forks == []
-    _no_child_left()
-
-
-def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, cpus, forks):
+def test_verify_proves_every_a_after_a_failure(capsys, monkeypatch, forks):
     # the proof at a = 5 misreads f_2 as 2; every later a is still proved,
     # once, by this process alone, and passes, since no a reads another's proof
     _misread_in_proofs(monkeypatch, {5}, lambda i: 2 if i == 2 else fib(i))
@@ -693,10 +684,8 @@ def test_verify_walks_every_block_after_a_failure(capsys, monkeypatch, cpus, for
     _no_child_left()
 
 
-def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
-        capsys, monkeypatch, cpus, forks):
-    # a = 9 of verify 12 would be a child's share were verify to fork; on one
-    # CPU or two it is proved here, and its raising is one internal error
+def test_verify_proof_raising_mid_sweep_is_one_internal_error(capsys, monkeypatch, forks):
+    # the proof at a = 9 of verify 12 raises, and its raising is one internal error
     def broken(i):
         raise RuntimeError(f"the proof at 9 broke at f_{i}")
 
@@ -709,8 +698,7 @@ def test_verify_walk_raising_in_the_childs_share_is_one_internal_error(
     assert forks == []
 
 
-@pytest.mark.parametrize("cpus", [1], indirect=True, ids=["in-process"])
-def test_verify_out_of_memory_mid_sweep_leaves_no_child(capsys, monkeypatch, cpus, forks):
+def test_verify_out_of_memory_mid_sweep_keeps_the_rows_written(capsys, monkeypatch, forks):
     real = NumericalSemigroup.summary
 
     def summary(self):
@@ -1126,7 +1114,7 @@ def test_apery_child_gone_after_k_blocks_changes_no_byte(capsys, monkeypatch, fo
     _no_child_left()
 
 
-def test_verify_bad_key_fails_the_bijection_from_its_block_on(capsys, monkeypatch):
+def test_verify_bad_key_fails_exactly_the_proofs_that_read_it(capsys, monkeypatch):
     # every proof misreads f_7 = 13 as 14: the proof at 7 reads it as f_a,
     # each proof above as a shift, and no proof below 7 reads it
     _misread_in_proofs(monkeypatch, range(3, 13), lambda i: 14 if i == 7 else fib(i))

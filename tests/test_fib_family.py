@@ -393,7 +393,7 @@ def test_block_check_rejects_a_bad_key_in_the_blocks_that_read_it(monkeypatch, j
 
 
 @pytest.mark.parametrize("k", range(3, 11))
-def test_bijection_check_fails_from_the_block_of_a_bad_key_on(monkeypatch, k):
+def test_bijection_check_fails_at_every_a_that_reads_a_bad_key(monkeypatch, k):
     # the proof at a reads f_2..f_a, so f_k read one high fails it from a = k on
     _misread(monkeypatch, k, fib(k) + 1)
     assert [zeckendorf_bijection_check(a) for a in range(3, 11)] == [a < k for a in range(3, 11)]

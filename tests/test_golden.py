@@ -48,10 +48,13 @@ def test_output_matches_snapshot(capsys, argv, snapshot):
     assert out == (GOLDEN / snapshot).read_text()
 
 
-def _digests() -> list[tuple[str, str]]:
+def _digests() -> list:
+    """One case per ``<digest>  <argv>`` line, named by its argv, so that a
+    regenerated digest changes the test's expectation and not its id."""
     lines = [line for path in sorted(GOLDEN.glob("*.sha256"))
              for line in path.read_text().splitlines()]
-    return [tuple(line.split("  ", 1)) for line in lines]
+    return [pytest.param(digest, argv, id=argv)
+            for digest, argv in (line.split("  ", 1) for line in lines)]
 
 
 @pytest.mark.parametrize("digest, argv", _digests())
