@@ -1,9 +1,9 @@
 """Numerical-semigroup invariants for Fibonacci-shift generator families.
 
-Three layers: ``fibonacci`` (Zeckendorf index sets, the beta/gamma
-statistics and the reduction step), ``semigroup_core`` (a generic
-brute-force oracle for any coprime generator list), and ``fib_family``
-(closed forms for the semigroups generated by f_a + f_0, f_a + f_1, ...).
+Three layers: ``fibonacci`` (Zeckendorf index sets and the beta/gamma
+statistics), ``semigroup_core`` (a generic brute-force oracle for any coprime
+generator list), and ``fib_family`` (closed forms for the semigroups
+generated by f_a + f_0, f_a + f_1, ...).
 The closed forms and the oracle compute the same invariants by unrelated
 algorithms; the test suite and the ``verify`` CLI subcommand hold them to
 exact agreement.

@@ -22,7 +22,6 @@ __all__ = [
     "family_generators",
     "family_apery",
     "family_apery_bitset",
-    "family_apery_value",
     "family_frobenius",
     "family_genus",
     "family_genus_sum",
@@ -55,20 +54,6 @@ def family_generators(a: int) -> tuple[int, ...]:
         raise ValueError("index must be nonnegative")
     fa = max(fib(a), 1)
     return (fa,) + tuple(fa + fib(k) for k in range(2, a))
-
-
-def family_apery_value(a: int, x: int) -> int:
-    """w(x) = beta(x) * f_a + x, the least element congruent to x mod f_a.
-
-    Pointwise evaluation has no size bound; only full-table materialization
-    does.
-    """
-    if a < 0:
-        raise ValueError("index must be nonnegative")
-    fa = max(fib(a), 1)
-    if not 0 <= x < fa:
-        raise ValueError(f"residue {x} out of range for modulus {fa}")
-    return beta(x) * fa + x
 
 
 def family_apery(a: int, *, table_bound: int = DEFAULT_TABLE_BOUND) -> AperyTable:

@@ -226,17 +226,6 @@ class NumericalSemigroup:
         reach = reach & ((1 << (f + 1)) - 1) | ((1 << n) - 1) << (f + 1)
         return reach & ~(reach << n)
 
-    def apery(self, n: int) -> AperyTable:
-        """Apery set of ``n`` as a table, decoded from :meth:`apery_bitset`."""
-        # bin()'s digits, reversed, split at each set bit: the runs of clear bits
-        runs = bin(self.apery_bitset(n))[:1:-1].split("1")[:-1]
-        w = [0] * n
-        s = -1
-        for run in runs:
-            s += len(run) + 1  # the next set bit
-            w[s % n] = s
-        return AperyTable(n, tuple(w))
-
     def frobenius(self) -> int:
         """The highest clear cell of the membership table R; equals -1 exactly
         when the semigroup is all of N."""
@@ -277,9 +266,6 @@ class NumericalSemigroup:
                 break
             sums |= nonzero << h
         return tuple(g for g in gens if g == m or (g <= top and not sums >> g & 1))
-
-    def embedding_dimension(self) -> int:
-        return len(self.minimal_generators())
 
     def n_count(self) -> int:
         """Number of elements strictly below the Frobenius number."""

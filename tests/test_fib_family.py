@@ -14,7 +14,6 @@ from fibsemi.fib_family import (
     TableTooLarge,
     family_apery,
     family_apery_bitset,
-    family_apery_value,
     family_frobenius,
     family_generators,
     family_genus,
@@ -76,28 +75,12 @@ def test_apery_reproduces_known_values():
     assert table.w == (0, 14, 15, 16, 30, 18, 32, 33, 21, 35, 36, 37, 51)
 
 
-def test_apery_value_pointwise():
-    assert family_apery_value(7, 0) == 0
-    assert family_apery_value(7, 4) == 30
-    assert family_apery_value(7, 12) == 51
-    with pytest.raises(ValueError):
-        family_apery_value(7, 13)
-    with pytest.raises(ValueError):
-        family_apery_value(7, -1)
-
-
-def test_apery_value_has_no_size_bound():
-    # pointwise queries stay cheap far beyond any materialization bound
-    assert family_apery_value(200, 1) == fib(200) + 1
-
-
 def test_apery_small_parameters_collapse():
     # S = N for a <= 2: one residue at modulus 1, never refused, not even by a bound of 0
     for a in range(3):
         assert family_apery(a).w == family_apery(a, table_bound=0).w == (0,)
         assert family_apery(a, table_bound=0).n == 1
         assert family_apery_bitset(a, table_bound=0) == 1
-        assert family_apery_value(a, 0) == 0
 
 
 def test_apery_table_bound_enforced():
@@ -227,19 +210,10 @@ def test_apery_bitset_refuses_before_computing_f_a():
 
 
 def test_apery_matches_oracle():
-    # at a = 24 the oracle's Apery bitset has 556,416 binary digits, past the
-    # 4300-digit int-string limit, which its decoder must not need
-    limited = hasattr(sys, "set_int_max_str_digits")
-    if limited:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-    try:
-        for a in (8, 11, 24):
-            gens = family_generators(a)
-            assert NumericalSemigroup(gens).apery(fib(a)) == family_apery(a)
-    finally:
-        if limited:
-            sys.set_int_max_str_digits(saved)
+    for a in (8, 11, 24):
+        gens = family_generators(a)
+        assert NumericalSemigroup(gens).apery_bitset(fib(a)) == sum(
+            1 << w for w in family_apery(a).w)
 
 
 # -- Frobenius ----------------------------------------------------------------
@@ -602,5 +576,3 @@ def test_negative_parameter_rejected():
         family_apery(-1)
     with pytest.raises(ValueError):
         family_apery_bitset(-1)
-    with pytest.raises(ValueError):
-        family_apery_value(-1, 0)

@@ -91,35 +91,49 @@ def test_apery_table_validation():
         AperyTable(3, (0, 2, 4))  # entries must match their residue
 
 
+def _bits(table):
+    """An Apery table as the int its bitset is: bit w set for each entry w."""
+    return sum(1 << w for w in table)
+
+
+def _table(bits, n):
+    """The Apery table of pivot n decoded from its bitset: w[s % n] = s for
+    each set bit s, one per residue."""
+    w = [None] * n
+    for s in range(bits.bit_length()):
+        if bits >> s & 1:
+            w[s % n] = s
+    return tuple(w)
+
+
 def test_apery_pivot_validation():
     sg = NumericalSemigroup([6, 9, 20])
     with pytest.raises(PivotZero):
-        sg.apery(0)
+        sg.apery_bitset(0)
     with pytest.raises(PivotNotInSemigroup):
-        sg.apery(7)
+        sg.apery_bitset(7)
     with pytest.raises(ResourceLimit):
-        NumericalSemigroup([5, 7], cell_limit=4).apery(5)
+        NumericalSemigroup([5, 7], cell_limit=4).apery_bitset(5)
 
 
 def test_apery_table_budget():
     # <3, 5> has F = 7: the table of pivot 8 needs F + 8 + 1 = 16 cells
-    assert NumericalSemigroup([3, 5], cell_limit=16).apery(8).w == (0, 9, 10, 3, 12, 5, 6, 15)
+    assert NumericalSemigroup([3, 5], cell_limit=16).apery_bitset(8) == _bits(
+        (0, 9, 10, 3, 12, 5, 6, 15))
     with pytest.raises(ResourceLimit, match="needs 16 cells .* 15-cell budget"):
-        NumericalSemigroup([3, 5], cell_limit=15).apery(8)
+        NumericalSemigroup([3, 5], cell_limit=15).apery_bitset(8)
     # at the multiplicity it needs exactly the membership table's F + m + 1
-    assert NumericalSemigroup([3, 5], cell_limit=11).apery(3).w == (0, 10, 5)
+    assert NumericalSemigroup([3, 5], cell_limit=11).apery_bitset(3) == _bits((0, 10, 5))
     # a huge pivot is refused before anything of its size is allocated
     with pytest.raises(ResourceLimit, match="needs 100000000000000000008 cells"):
-        NumericalSemigroup([3, 5]).apery(10**20)
+        NumericalSemigroup([3, 5]).apery_bitset(10**20)
 
 
 def test_apery_and_its_bitset_refuse_a_pivot_alike():
     sg = NumericalSemigroup([3, 5], cell_limit=15)
-    with pytest.raises(ResourceLimit) as table:
-        sg.apery(8)
     with pytest.raises(ResourceLimit) as bits:
         sg.apery_bitset(8)
-    assert str(table.value) == str(bits.value) == (
+    assert str(bits.value) == (
         "Apery table of pivot 8 needs 16 cells (F + n + 1), over the 15-cell budget")
     assert sg.apery_bitset(3) == 1 | 1 << 5 | 1 << 10  # Ap(<3,5>, 3) = {0, 5, 10}
 
@@ -137,7 +151,7 @@ def test_apery_out_of_budget_semigroup_refused_quickly():
     sg = NumericalSemigroup([1000003, 1000033])
     t0 = time.perf_counter()
     with pytest.raises(ResourceLimit):
-        sg.apery(2000006)
+        sg.apery_bitset(2000006)
     with pytest.raises(ResourceLimit):
         sg.frobenius()
     assert time.perf_counter() - t0 < 5.0
@@ -145,13 +159,13 @@ def test_apery_out_of_budget_semigroup_refused_quickly():
 
 def test_apery_known_table():
     # Ap(<3,5>, 3) = {0, 5, 10}
-    assert NumericalSemigroup([3, 5]).apery(3) == AperyTable(3, (0, 10, 5))
+    assert NumericalSemigroup([3, 5]).apery_bitset(3) == _bits((0, 10, 5))
 
 
 def test_apery_nonminimal_pivot():
     sg = NumericalSemigroup([3, 5])
-    table = sg.apery(8)  # 8 = 3 + 5 is an element, not a generator
-    assert table.w == (0, 9, 10, 3, 12, 5, 6, 15)
+    bits = sg.apery_bitset(8)  # 8 = 3 + 5 is an element, not a generator
+    assert bits == _bits((0, 9, 10, 3, 12, 5, 6, 15))
 
 
 def test_apery_agrees_with_membership_definition():
@@ -159,8 +173,8 @@ def test_apery_agrees_with_membership_definition():
     for gens in [(3, 5), (6, 9, 20), (13, 14, 15, 16, 18, 21), (7, 11, 13)]:
         sg = NumericalSemigroup(gens)
         for n in (sg.multiplicity, sg.generators[-1]):
-            table = sg.apery(n)
-            for i, w in enumerate(table.w):
+            table = _table(sg.apery_bitset(n), n)
+            for i, w in enumerate(table):
                 assert sg.contains(w)
                 assert not sg.contains(w - n)
                 for smaller in range(i, w, n):
@@ -201,7 +215,7 @@ def test_minimal_generators_drops_redundant():
     sg = NumericalSemigroup([4, 6, 9, 10, 13])
     # 10 = 4 + 6 and 13 = 4 + 9 are sums of smaller elements
     assert sg.minimal_generators() == (4, 6, 9)
-    assert sg.embedding_dimension() == 3
+    assert sg.summary().embedding_dimension == 3
     # 34 = 13 + 21 is already reachable
     with_extra = NumericalSemigroup([13, 14, 15, 16, 18, 21, 34])
     assert with_extra.minimal_generators() == (13, 14, 15, 16, 18, 21)
@@ -305,8 +319,7 @@ def test_apery_bitset_equals_dijkstra(gens):
     # the multiplicity, the largest generator, and an element that is no generator
     for n in (m, top, m + top):
         w = dijkstra_apery(sg.generators, n)
-        assert sg.apery(n) == AperyTable(n, w)
-        assert sg.apery_bitset(n) == sum(1 << wi for wi in w)
+        assert sg.apery_bitset(n) == _bits(w)
     # g + n(S) = F + 1, with F and g from the Dijkstra table, n(S) from the bitset
     w = dijkstra_apery(sg.generators, m)
     f = max(w) - m
@@ -363,10 +376,11 @@ def test_invariant_identities_random(gens):
     assert sg.gaps() == [x for x in range(1, f + 1) if not sg.contains(x)]
     # Apery cardinality and the membership criterion x in S iff x >= w(x mod n)
     m = sg.multiplicity
-    table = sg.apery(m)
-    assert len(table.w) == m
+    bits = sg.apery_bitset(m)
+    assert bits.bit_count() == m
+    table = _table(bits, m)
     for x in range(0, f + 2 * m + 1):
-        assert sg.contains(x) == (x >= table.w[x % m])
+        assert sg.contains(x) == (x >= table[x % m])
     msg = sg.minimal_generators()
     # the definition: nonzero elements that are not a sum of two nonzero
     # elements, all of which lie in [m, F + m] (m >= 2 here, so F >= 1)

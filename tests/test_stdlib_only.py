@@ -2,8 +2,10 @@
 either of fibsemi itself or of a standard-library module.  Every module also
 parses as Python 3.10, the oldest version pyproject.toml admits.  The CLI
 loads no standard-library module it has no use for, and no module imports a
-name it never reads.  The package's public names are its modules' ``__all__``
-lists, stated once."""
+name it never reads.  Every public function and every public method of a
+public class is read somewhere in the package outside its own body, so
+nothing public in src is there for the tests alone.  The package's public
+names are its modules' ``__all__`` lists, stated once."""
 from __future__ import annotations
 
 import ast
@@ -76,6 +78,59 @@ def test_every_import_is_used():
 ])
 def test_unused_imports_finds_what_is_never_read(source, unused):
     assert unused_imports(ast.parse(source)) == unused
+
+
+def unread_public_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """The module-level public functions, and the public methods of public
+    classes, that no tree reads outside their own body as a ``Name`` or an
+    ``Attribute`` load, as ``module.function`` or ``module.Class.method``.
+    A read is matched by its name alone, of whatever object."""
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs.append((f"{module}.{node.name}", node))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defs += [(f"{module}.{node.name}.{meth.name}", meth) for meth in node.body
+                         if isinstance(meth, ast.FunctionDef)
+                         and not meth.name.startswith("_")]
+    loads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for label, node in defs:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(name == node.name and id(load) not in inside for load, name in loads):
+            unread.append(label)
+    return unread
+
+
+def test_every_public_function_has_a_reader_in_src():
+    # A read is matched by name, so a method is hidden by any field or
+    # attribute of the same name: NumericalSemigroup.embedding_dimension(),
+    # which only the tests called, passed this check, because the records'
+    # embedding_dimension fields are read.
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_public_functions(trees) == []
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("def f(): pass\n", ["m.f"]),
+    ("def f(): pass\nf()\n", []),
+    ("def f(): f()\n", ["m.f"]),  # its own body is no reader
+    ("def f(): pass\nf = 1\n", ["m.f"]),  # rebinding is not reading
+    ("def f(): pass\n__all__ = ['f']\n", ["m.f"]),  # nor is exporting
+    ("def _f(): pass\n", []),
+    ("class C:\n def g(self): pass\n", ["m.C.g"]),
+    ("class C:\n def g(self): pass\nC().g()\n", []),
+    ("class C:\n def __init__(self): pass\n def g(self): self.g\n", ["m.C.g"]),
+    ("class _C:\n def g(self): pass\n", []),
+], ids=["unread", "called", "recursive", "rebound", "exported", "private",
+        "method", "method-called", "method-self", "private-class"])
+def test_unread_public_functions_finds_what_src_never_reads(source, unread):
+    assert unread_public_functions({"m": ast.parse(source)}) == unread
 
 
 # Loaded by none of these runs: dataclasses pulls in inspect, json only
