@@ -13,14 +13,11 @@ reported as one stderr line rather than a traceback).
 """
 from __future__ import annotations
 
-import _signal
 import argparse
 import errno
 import os
 import sys
 import time
-from contextlib import closing
-from functools import cache
 from operator import attrgetter
 
 from . import fib_family
@@ -47,19 +44,12 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-# Rows of the apery table rendered by one %-format and written by one write.
-# Larger blocks measured no faster, and at 4096 rows a JSON block nearly
-# doubles the memory of apery 22's 17,711-entry table.
+# Rows of the apery table rendered by one %-format and written by one write,
+# so a run holds its table and one block.  Larger blocks render a little
+# faster (apery 28 csv in process: 195 ms at 256 rows, 187 at 1024, 178 at
+# 4096, medians of 15 runs), but at 4096 rows a JSON block nearly doubles
+# the memory of apery 22's 17,711-entry table.
 APERY_BLOCK_ROWS = 256
-
-# Least a at which apery's forked child, rendering the odd blocks, pays.  The
-# child builds its own table, so each process builds one beside the other.
-# In process, fork against no fork, csv written to a pipe, 30 alternating
-# fresh runs each (2 CPUs, CPython 3.11.7): apery 22 was faster in 17/30 (18.7
-# against 17.6 ms) and 20/30 (20.3 against 22.7 ms); apery 21 in 10/30 and
-# 12/30.  While the host ran both processes on one CPU, forking won at most
-# 1/30 at either, 7 to 14 ms slower.
-APERY_FORK_MIN_INDEX = 22
 
 TABLE_FIELDS = ("a", "m", "e", "frobenius", "genus", "n", "wilf_slack")
 # a FamilySummary's values in TABLE_FIELDS order
@@ -234,42 +224,28 @@ def cmd_apery(args: argparse.Namespace) -> int:
     """Write the table a block of rows at a time: each block is one %-format
     and one write, so memory is the table plus one block.  A block's cells
     are one list, x, beta and w of each row in turn, filled by three slice
-    assignments.  Every refusal is made first, and ``fib_family`` says
-    whether two tables fit in physical memory.  Then the parent writes each
-    block as :func:`_forked` yields it, in order: from a = APERY_FORK_MIN_INDEX
-    on, where two tables fit, a forked child renders the odd blocks and the
-    parent the even ones.  The fork is made at the first
-    block, and each process builds its own table on its first block, after
-    the fork, so no page of a table is copied on write."""
-    a, size = args.a, APERY_BLOCK_ROWS
-    room_for_two = fib_family._refuse_apery_table(a, args.table_bound)
-    n = max(fib(a), 1)  # the table's rows: one for a <= 2, else f_a
+    assignments.  ``family_apery`` makes every refusal before it computes
+    any beta, so a refused table writes no row."""
+    size = APERY_BLOCK_ROWS
+    w = fib_family.family_apery(args.a, table_bound=args.table_bound).w
+    n = len(w)  # one row for a <= 2, else f_a
     if args.format == "text":
-        xw = len(str(n - 1))
-        # w(n - 1) = F + f_a is the largest entry, known before any table is built
-        ww = len(str(fib_family.family_frobenius(a) + n))
+        # the last entry, w(n - 1) = F + f_a, is the largest (README)
+        xw, ww = len(str(n - 1)), len(str(w[-1]))
         head, row, sep, tail = "", f"%{xw}d  %2d  %{ww}d\n", "", ""
     else:
         head, row, sep, tail = _rows(args.format, ("x", "beta", "w"), "%d")
     block, short = sep.join([row] * size), sep.join([row] * (n % size))
-    # this process's table of w, built on its first block, after the fork
-    table = cache(lambda: fib_family.family_apery(a, table_bound=args.table_bound).w)
-
-    def render(start: int) -> str:
+    out = sys.stdout
+    for start in range(0, n, size):
         stop = min(start + size, n)
         cells = [0] * (3 * (stop - start))
         cells[0::3] = range(start, stop)
         cells[1::3] = map(beta, range(start, stop))
-        cells[2::3] = table()[start:stop]
-        return (sep if start else head) + (short if stop - start < size else block) % tuple(cells)
-
-    starts = range(0, n, size)
-    theirs = starts[1::2] if a >= APERY_FORK_MIN_INDEX and room_for_two else ()
-    with closing(_forked(render, starts, theirs)) as blocks:
-        out = sys.stdout
-        for text in blocks:
-            out.write(text)
-        out.write(tail)
+        cells[2::3] = w[start:stop]
+        out.write((sep if start else head)
+                  + (short if stop - start < size else block) % tuple(cells))
+    out.write(tail)
     return EXIT_OK
 
 
@@ -365,93 +341,6 @@ def _verify_one(a: int, args: argparse.Namespace) -> _VerifyOutcome:
     except SemigroupError:  # the oracle refuses the closed-form generators
         out.failures.append("oracle-generators")
     return out
-
-
-def _forked(work, jobs, theirs):
-    """Yield ``work(job)``, a string, for each of ``jobs`` in order; the jobs
-    in ``theirs``, some of ``jobs`` in the same order, are computed ahead by
-    a forked child on a second CPU when ``theirs`` is nonempty and
-    :func:`_can_fork`.  A caller whose child should not run passes ``()``.
-
-    The fork is made at the first result.  The child computes ``theirs`` in
-    order and writes each result, encoded, to a pipe as a 4-byte length and
-    the payload.  It calls only ``work``, never writes stdout or stderr, and
-    ends by ``os._exit``, so an exception ends it without a traceback.  From
-    the first of its results that fails to arrive whole, because the child
-    died or was cut short, this process computes every job itself, as it does
-    every job when no child was forked, so a fault shows as it does without
-    the child.  Closing the generator, which callers do on every exit path
-    through ``contextlib.closing``, kills the child, which may be computing
-    jobs no one will take, and reaps it.
-
-    ``work`` caches what it builds once, as ``apery``'s table: each process
-    then builds its own after the fork.
-    """
-    pid, pipe = 0, None  # the child's results, until one fails to arrive
-    try:
-        if theirs and _can_fork():
-            try:
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:  # no process to be had
-                    os.close(r)
-                    os.close(w)
-                    raise
-            except OSError:  # no descriptor or process: this process does every job
-                pass
-            else:
-                if not pid:  # the child
-                    try:
-                        os.close(r)
-                        for job in theirs:
-                            out = work(job).encode()
-                            frame = memoryview(len(out).to_bytes(4, "little") + out)
-                            while frame:
-                                frame = frame[os.write(w, frame):]
-                    finally:
-                        os._exit(0)
-                os.close(w)
-                pipe = open(r, "rb")
-        ahead = iter(theirs)  # the child's jobs, in the order it writes them
-        their_next = next(ahead, None)
-        for job in jobs:
-            if pipe and job == their_next:
-                their_next = next(ahead, None)
-                head = pipe.read(4)  # waits for the child; short once it is gone
-                size = int.from_bytes(head, "little")
-                out = pipe.read(size) if len(head) == 4 else b""
-                if len(head) == 4 and len(out) == size:
-                    yield out.decode()
-                    continue
-                pipe.close()
-                pipe = None
-            yield work(job)
-    finally:
-        if pipe:
-            pipe.close()
-        if pid:
-            os.kill(pid, _signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _can_fork() -> bool:
-    """Whether a forked child can run beside this process, and be reaped:
-    ``os.fork`` exists, two or more CPUs are usable, no second thread is
-    running (the child would hold a copy of this one only), and SIGCHLD is
-    not ignored (the kernel would reap the child itself, and its pid could be
-    reused before the parent kills it).  SIGCHLD and SIGKILL come from
-    ``_signal``, loaded at interpreter start-up; ``signal`` is never loaded."""
-    if not hasattr(os, "fork"):
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    threading = sys.modules.get("threading")  # not loaded: no thread started by it
-    if cpus < 2 or threading is not None and threading.active_count() > 1:
-        return False
-    return _signal.getsignal(_signal.SIGCHLD) != _signal.SIG_IGN
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

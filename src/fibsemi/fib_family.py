@@ -104,26 +104,23 @@ def _refuse_oversized_table(a: int, table_bound: int) -> None:
         )
 
 
-def _refuse_apery_table(a: int, table_bound: int) -> bool:
-    """Raise what :func:`family_apery` refuses, before any beta is computed,
-    and else return whether physical memory holds a second such table beside
-    the first.
+def _refuse_apery_table(a: int, table_bound: int) -> None:
+    """Raise what :func:`family_apery` refuses, before any beta is computed.
 
     Past ``table_bound``, TableTooLarge.  Past physical memory, at
     APERY_ENTRY_BYTES per entry, ResourceLimit: no bound can help a table
     that no run can hold.  Where the platform does not report its memory,
-    nothing is refused for memory and a second table is taken to fit, as at
-    a <= 2, whose one-entry table is never refused.
+    nothing is refused for memory; nor is the one-entry table at a <= 2.
     """
     if a <= 2:
-        return True
+        return
     _refuse_oversized_table(a, table_bound)
     try:
         pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        return True
+        return
     if pages <= 0 or page <= 0:
-        return True
+        return
     fa = fib(a)
     need, memory = fa * APERY_ENTRY_BYTES, pages * page
     if need > memory:
@@ -131,7 +128,6 @@ def _refuse_apery_table(a: int, table_bound: int) -> bool:
             f"Apery table of f_{a} = {fa} entries needs {need} bytes, "
             f"over the {memory} bytes of physical memory"
         )
-    return 2 * need <= memory
 
 
 def family_frobenius(a: int) -> int:

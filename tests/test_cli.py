@@ -8,13 +8,10 @@ import io
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
-from contextlib import closing, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from math import comb
 from pathlib import Path
@@ -587,31 +584,6 @@ def test_verify_proves_the_bijection_up_to_a_32_past_the_default_bound(capsys):
     assert not any("zeckendorf-bijection" in s for s in skips.values())
 
 
-@pytest.fixture(params=[2, 1], ids=["forked", "in-process"])
-def cpus(request, monkeypatch):
-    """CPUs usable as the CLI sees them: with one, ``apery`` forks no child
-    and renders every block itself."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
-                        raising=False)
-    return request.param
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children forked during the test."""
-    made = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return made
-
-
 def _without_ms(out: str) -> str:
     """``verify``'s text with each a's timing, which varies, stripped."""
     return re.sub(r" \d+ms$", "", out, flags=re.M)
@@ -619,11 +591,6 @@ def _without_ms(out: str) -> str:
 
 def _golden_lines(snapshot: str, count: int) -> str:
     return "".join((GOLDEN / snapshot).read_text().splitlines(keepends=True)[:count])
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _logged_proofs(monkeypatch) -> list[int]:
@@ -653,16 +620,13 @@ def _misread_in_proofs(monkeypatch, at, read) -> None:
     monkeypatch.setattr(fib_family, "zeckendorf_bijection_check", check)
 
 
-def test_verify_proves_each_admitted_a_once(capsys, monkeypatch, forks):
+def test_verify_proves_each_admitted_a_once(capsys, monkeypatch):
     # the bijection at a is one proof over [0, f_a): each admitted a is
-    # proved once, in this process, on two CPUs too
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # proved once
     made = _logged_proofs(monkeypatch)
     code, _, _ = run(capsys, "verify", "24")
     assert code == EXIT_OK
     assert made == list(range(3, 25))
-    assert forks == []
-    _no_child_left()
     # --table-bound stops the proofs where it stops the bitsets: f_10 = 55 <= 88 < f_11
     made.clear()
     code, _, _ = run(capsys, "verify", "12", "--table-bound", "88")
@@ -670,9 +634,9 @@ def test_verify_proves_each_admitted_a_once(capsys, monkeypatch, forks):
     assert made == list(range(3, 11))
 
 
-def test_verify_proves_every_a_after_a_failure(capsys, monkeypatch, forks):
+def test_verify_proves_every_a_after_a_failure(capsys, monkeypatch):
     # the proof at a = 5 misreads f_2 as 2; every later a is still proved,
-    # once, by this process alone, and passes, since no a reads another's proof
+    # once, and passes, since no a reads another's proof
     _misread_in_proofs(monkeypatch, {5}, lambda i: 2 if i == 2 else fib(i))
     made = _logged_proofs(monkeypatch)
     code, out, _ = run(capsys, "verify", "12", "--oracle-bound", "1")
@@ -680,11 +644,9 @@ def test_verify_proves_every_a_after_a_failure(capsys, monkeypatch, forks):
     assert out.count("  mismatch: zeckendorf-bijection\n") == 1
     assert "a=5 m=5 FAIL " in out
     assert made == list(range(3, 13))
-    assert forks == []
-    _no_child_left()
 
 
-def test_verify_proof_raising_mid_sweep_is_one_internal_error(capsys, monkeypatch, forks):
+def test_verify_proof_raising_mid_sweep_is_one_internal_error(capsys, monkeypatch):
     # the proof at a = 9 of verify 12 raises, and its raising is one internal error
     def broken(i):
         raise RuntimeError(f"the proof at 9 broke at f_{i}")
@@ -695,10 +657,9 @@ def test_verify_proof_raising_mid_sweep_is_one_internal_error(capsys, monkeypatc
     # the rows of a = 3..8, written as each a was checked
     assert _without_ms(out) == _golden_lines("verify_20.txt", 6)
     assert err == "fibsemi: internal error: RuntimeError: the proof at 9 broke at f_9\n"
-    assert forks == []
 
 
-def test_verify_out_of_memory_mid_sweep_keeps_the_rows_written(capsys, monkeypatch, forks):
+def test_verify_out_of_memory_mid_sweep_keeps_the_rows_written(capsys, monkeypatch):
     real = NumericalSemigroup.summary
 
     def summary(self):
@@ -711,8 +672,72 @@ def test_verify_out_of_memory_mid_sweep_keeps_the_rows_written(capsys, monkeypat
     assert code == EXIT_RESOURCE
     assert (_without_ms(out), err) == (_golden_lines("verify_20.txt", 8),
                                        "fibsemi: out of memory\n")  # a = 3..10
-    assert forks == []
-    _no_child_left()
+
+
+# -- apery in one process ---------------------------------------------------------
+
+def _no_process(*_args):
+    raise AssertionError("fibsemi made a pipe or a process")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test: none, since apery
+    and verify render in the process that runs them."""
+    made = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def fork_or_not(request, monkeypatch, forks):
+    """Whether a process may be forked: "forked" leaves ``os.fork`` to be
+    called, "in-process" has it and ``os.pipe`` raise.  The output is the same."""
+    if request.param == "in-process":
+        monkeypatch.setattr(os, "fork", _no_process)
+        monkeypatch.setattr(os, "pipe", _no_process)
+    return request.param
+
+
+def _logged_apery_calls(monkeypatch) -> list[int]:
+    """The pid of the process making each ``family_apery`` call."""
+    made, real = [], fib_family.family_apery
+
+    def family_apery(*args, **kwargs):
+        made.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fib_family, "family_apery", family_apery)
+    return made
+
+
+def test_no_process_means_no_child_and_no_pipe(capsys, monkeypatch):
+    # every pinned apery and verify run, with no pipe or process to be had:
+    # apery builds its one table with one family_apery call
+    monkeypatch.setattr(os, "fork", _no_process, raising=False)
+    monkeypatch.setattr(os, "pipe", _no_process)
+    made = _logged_apery_calls(monkeypatch)
+    for name in ("apery.sha256", "verify.sha256"):
+        for line in (GOLDEN / name).read_text().splitlines():
+            digest, argv = line.split("  ", 1)
+            made.clear()
+            code, out, _ = run(capsys, *argv.split())
+            assert code == EXIT_OK, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+            assert len(made) == (1 if argv.startswith("apery") else 0), argv
 
 
 def _emfile():
@@ -724,9 +749,7 @@ def _emfile():
     ("apery 12 --format csv", "apery_12.csv"),
 ])
 def test_no_pipe_means_no_child(capsys, monkeypatch, forks, argv, snapshot):
-    # a process out of descriptors does every job itself, as one out of processes does
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
+    # a process out of descriptors renders every block, as every process does
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
     monkeypatch.setattr(os, "pipe", _emfile)
     code, out, err = run(capsys, *argv.split())
@@ -734,383 +757,142 @@ def test_no_pipe_means_no_child(capsys, monkeypatch, forks, argv, snapshot):
     assert forks == []
 
 
-def test_no_process_means_no_child_and_no_pipe(monkeypatch):
-    # the pipe is made, then the fork fails: both ends are closed again
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real_pipe = os.pipe
-    made = []
-
-    def pipe():
-        made.extend(real_pipe())
-        return tuple(made)
-
-    def fork():
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "pipe", pipe)
-    monkeypatch.setattr(os, "fork", fork)
-    assert list(cli._forked(str, range(5), range(5))) == ["0", "1", "2", "3", "4"]
-    assert len(made) == 2
-    for fd in made:
-        with pytest.raises(OSError) as exc:
-            os.fstat(fd)
-        assert exc.value.errno == errno.EBADF
-
-
-@pytest.mark.parametrize("cut", [2, 6], ids=["in-the-length", "in-the-payload"])
-def test_forked_results_that_never_arrive_whole_are_computed_here(monkeypatch, forks, cut):
-    # the child writes jobs 0 and 1 whole, then part of job 2's frame, and dies
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    parent, real = os.getpid(), os.write
-
-    def write(fd, data):
-        if os.getpid() != parent and bytes(data[4:]) == b"job 2":
-            real(fd, data[:cut])
-            os._exit(0)
-        return real(fd, data)
-
-    monkeypatch.setattr(os, "write", write)
-    here = []  # the jobs this process computes; the child's list is its own
-
-    def work(j):
-        here.append(j)
-        return "job %d" % j
-
-    jobs = ["job %d" % j for j in range(5)]
-    with closing(cli._forked(work, range(5), range(5))) as results:
-        assert list(results) == jobs
-    assert here == [2, 3, 4]
-    assert len(forks) == 1
-    _no_child_left()
-    # a child never forked leaves every job to this process
-    here.clear()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    with closing(cli._forked(work, range(5), range(5))) as results:
-        assert list(results) == jobs
-    assert here == [0, 1, 2, 3, 4]
-    assert len(forks) == 1
-    _no_child_left()
-
-
-def test_forked_jobs_not_the_childs_are_computed_here(monkeypatch, forks):
-    # the child has jobs 1 and 3; jobs 0, 2 and 4 never read the pipe, so
-    # each job gets its own result
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    here = []
-
-    def work(j):
-        here.append(j)
-        return "job %d" % j
-
-    with closing(cli._forked(work, range(5), range(1, 5, 2))) as results:
-        assert list(results) == ["job %d" % j for j in range(5)]
-    assert here == [0, 2, 4]
-    assert len(forks) == 1
-    _no_child_left()
-
-
-def test_forked_with_no_jobs_of_the_childs_forks_nothing(monkeypatch, forks):
-    # a caller whose child should not run passes theirs = (), even on two CPUs
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    here = []
-
-    def work(j):
-        here.append(j)
-        return "job %d" % j
-
-    with closing(cli._forked(work, range(5), ())) as results:
-        assert list(results) == ["job %d" % j for j in range(5)]
-    assert here == [0, 1, 2, 3, 4]
-    assert forks == []
-
-
-def test_forked_closed_after_its_first_result_leaves_no_child_and_no_pipe(monkeypatch,
-                                                                          forks):
-    # the child writes job 0, then works on job 1 until it is killed
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    parent, real_pipe = os.getpid(), os.pipe
-    made = []
-
-    def pipe():
-        made.extend(real_pipe())
-        return tuple(made)
-
-    def work(j):
-        if j and os.getpid() != parent:
-            time.sleep(60)
-        return "job %d" % j
-
-    monkeypatch.setattr(os, "pipe", pipe)
-    results = cli._forked(work, range(5), range(5))
-    with closing(results):
-        assert next(results) == "job 0"
-        closed = time.monotonic()
-    assert time.monotonic() - closed < 30  # killed, not waited for
-    assert len(forks) == 1
-    _no_child_left()
-    for fd in made:  # both ends closed in this process
-        with pytest.raises(OSError):
-            os.fstat(fd)
-
-
-def test_forked_closed_before_it_starts_forks_nothing(monkeypatch, forks):
-    # the fork is made at the first result
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    with closing(cli._forked(str, range(5), range(5))):
-        pass
-    assert forks == []
-
-
-# -- apery on two CPUs ------------------------------------------------------------
-
-def test_apery_forks_only_where_a_child_can_run_beside_it(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli._can_fork()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert not cli._can_fork()
-    # without an affinity call, the CPU count decides
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    for count, pays in ((1, False), (None, False), (2, True)):
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert cli._can_fork() == pays
-    # a second thread would not be copied into the child
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert not cli._can_fork()
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert cli._can_fork()
-    # an ignored SIGCHLD, which exec passes on, has the kernel reap the child
-    saved = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        assert not cli._can_fork()
-    finally:
-        signal.signal(signal.SIGCHLD, saved)
-    monkeypatch.delattr(os, "fork")
-    assert not cli._can_fork()
-
-
-def _spy_on_forked(monkeypatch, real=cli._forked):
-    """The (jobs, theirs) of each ``_forked`` call, as lists, made on one CPU."""
-    made = []
-
-    def spy(work, jobs, theirs):
-        made.append((list(jobs), list(theirs)))
-        return real(work, jobs, theirs)
-
-    monkeypatch.setattr(cli, "_forked", spy)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    return made
-
-
-def _apery_share(a: int) -> int:
-    """Rows in apery a's odd blocks of 256 rows: the forked child's."""
-    n = max(fib(a), 1)
-    return sum(min(256, n - start) for start in range(256, n, 512))
-
-
 @pytest.mark.parametrize("fmt, snapshot", [
     ("csv", "apery_12.csv"), ("text", "apery_12.txt"), ("json", "apery_12.json"),
 ])
 @pytest.mark.parametrize("size", [16, 100, 256])
-def test_apery_output_is_the_same_forked_or_not(capsys, monkeypatch, cpus, forks,
+def test_apery_output_is_the_same_forked_or_not(capsys, monkeypatch, fork_or_not, forks,
                                                 fmt, snapshot, size):
-    # apery 12 has 144 rows: the child renders the odd blocks of 16 or 100 rows,
-    # and is not forked when one block of 256 holds them all
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
+    # apery 12 has 144 rows: nine or two blocks of 16 or 100 rows, or one of 256
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", size)
     code, out, err = run(capsys, "apery", "12", "--format", fmt)
     assert (code, out, err) == (EXIT_OK, (GOLDEN / snapshot).read_text(), "")
-    assert len(forks) == (cpus == 2 and size < 144)
+    assert forks == []
     _no_child_left()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
 def test_apery_past_the_break_even_is_the_same_forked_or_not(capsys, monkeypatch,
                                                              forks, fmt):
-    assert 25 > cli.APERY_FORK_MIN_INDEX
+    # apery 25 is past a = 22, where apery once forked a child on two CPUs:
+    # with a process to be had or not, it renders the same rows itself
     outputs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
+    for forkable in (True, False):
+        if not forkable:
+            monkeypatch.setattr(os, "fork", _no_process)
+            monkeypatch.setattr(os, "pipe", _no_process)
         code, out, err = run(capsys, "apery", "25", "--format", fmt)
         assert (code, err) == (EXIT_OK, "")
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == {"csv": 1 + fib(25), "text": fib(25),
                                             "json": 2 + 5 * fib(25)}[fmt]
-    assert len(forks) == 1
+    assert forks == []
     _no_child_left()
 
 
 def test_apery_forks_only_for_a_share_past_the_break_even(capsys, monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert cli.APERY_FORK_MIN_INDEX == 22
-    for index, forked in ((22, 1), (23, 0)):
-        monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", index)
-        forks.clear()
-        assert run(capsys, "apery", "22", "--format", "csv")[0] == EXIT_OK
-        assert len(forks) == forked
+    # a = 22 was the break even of the fork: on either side of it, one
+    # process renders every row
+    for a in (21, 22, 23):
+        code, out, err = run(capsys, "apery", str(a), "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert len(out.splitlines()) == 1 + fib(a)
+    assert forks == []
+    _no_child_left()
 
 
-def test_apery_forks_where_the_parent_did(capsys, monkeypatch):
-    # the rule this replaced: fork where the child's odd blocks of 256 rows
-    # reach 8,751 rows, the count at apery 22.  Memory is not reported, so
-    # two tables fit, and no table is built: the spy hands back no block
-    made = _spy_on_forked(monkeypatch, real=lambda work, jobs, theirs: (x for x in ()))
+def test_apery_forks_where_the_parent_did(monkeypatch, forks):
+    # no a up to 30 forks, where the rule this replaced forked from the
+    # child's 8,751 rows at apery 22 on; each run is one family_apery call.
+    # Memory is not reported, so no table is refused for it
+    made = _logged_apery_calls(monkeypatch)
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 0, "SC_PAGE_SIZE": 1}.__getitem__)
-    for a in range(31):
-        assert run(capsys, "apery", str(a), "--format", "csv",
-                   "--table-bound", str(fib(30)))[0] == EXIT_OK
-        _, theirs = made.pop()
-        assert bool(theirs) == (_apery_share(a) >= 8_751), a
-
-
-def test_apery_childs_share_is_the_rows_of_its_blocks(capsys, monkeypatch):
-    # the child's blocks are the odd ones
-    made = _spy_on_forked(monkeypatch)
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
-    for size in (1, 2, 3, 16, 100, 256):
-        monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", size)
-        for a in (0, 1, 2, 3, 4, 5, 10, 12, 16):
-            assert run(capsys, "apery", str(a), "--format", "csv")[0] == EXIT_OK
-            jobs, theirs = made.pop()
-            n = max(fib(a), 1)
-            assert jobs == list(range(0, n, size))
-            assert theirs == list(range(size, n, 2 * size))
+    with open(os.devnull, "w") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        for a in range(31):
+            assert main(["apery", str(a), "--format", "csv",
+                         "--table-bound", str(fib(30))]) == EXIT_OK
+    assert made == [os.getpid()] * 31
+    assert forks == []
+    _no_child_left()
 
 
 @pytest.mark.parametrize("argv", ["apery 40", "apery 60 --table-bound 1000000000000000"])
 def test_apery_refuses_before_it_forks(capsys, monkeypatch, forks, argv):
-    # past the bound, and past physical memory: refused before any fork, no row written
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # past the bound, and past physical memory: refused before any table is
+    # built, no row written
+    made = _logged_apery_calls(monkeypatch)
     code, out, _ = run(capsys, *argv.split())
     assert (code, out) == (EXIT_RESOURCE, "")
+    assert made == [os.getpid()]
     assert forks == []
     _no_child_left()
 
 
 def test_apery_forks_only_where_two_tables_fit(capsys, monkeypatch, forks):
-    # the child builds a table of its own beside the parent's: with room for
-    # one table but not two, the parent renders every block itself.  Memory
-    # not reported, as 0 pages, refuses nothing and keeps nothing from forking
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # one table is all apery holds: with room for it but not for a second,
+    # every row is rendered.  Memory not reported, as 0 pages, refuses nothing
     argv = "apery 25 --format json"
     digest, = (line.split("  ")[0] for line in (GOLDEN / "apery.sha256").read_text().splitlines()
                if line.endswith("  " + argv))
     table = fib(25) * fib_family.APERY_ENTRY_BYTES
-    for pages, forked in ((table, 0), (2 * table - 1, 0), (2 * table, 1), (0, 1)):
+    for pages in (table, 2 * table - 1, 2 * table, 0):
         sizes = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
-        forks.clear()
         code, out, err = run(capsys, *argv.split())
         assert (code, err) == (EXIT_OK, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert len(forks) == forked
-        _no_child_left()
+    assert forks == []
+    _no_child_left()
 
 
-def test_apery_forks_before_either_process_builds_its_table(capsys, monkeypatch, tmp_path,
-                                                            cpus, forks):
-    # each process builds the table it renders: one family_apery call in each,
-    # after the fork, logged with its pid to one file opened before the run
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
+def test_apery_forks_before_either_process_builds_its_table(capsys, monkeypatch,
+                                                            fork_or_not, forks):
+    # one process builds the table it renders, with one family_apery call
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
-    log = tmp_path / "calls"
-    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    real_fork, real_apery = os.fork, fib_family.family_apery
-
-    def fork():
-        os.write(fd, b"fork %d\n" % os.getpid())
-        return real_fork()
-
-    def family_apery(*args, **kwargs):
-        os.write(fd, b"family_apery %d\n" % os.getpid())
-        return real_apery(*args, **kwargs)
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(fib_family, "family_apery", family_apery)
-    try:
-        code, out, err = run(capsys, "apery", "12", "--format", "csv")
-    finally:
-        os.close(fd)
+    made = _logged_apery_calls(monkeypatch)
+    code, out, err = run(capsys, "apery", "12", "--format", "csv")
     assert (code, out, err) == (EXIT_OK, (GOLDEN / "apery_12.csv").read_text(), "")
-    calls = log.read_text().splitlines()
-    parent = os.getpid()
-    if cpus == 2:
-        assert len(forks) == 1
-        _no_child_left()
-        assert calls[0] == f"fork {parent}"
-        assert sorted(calls[1:]) == sorted([f"family_apery {parent}",
-                                            f"family_apery {forks[0]}"])
-    else:
-        assert forks == []
-        assert calls == [f"family_apery {parent}"]
+    assert made == [os.getpid()]
+    assert forks == []
 
 
 def test_apery_child_out_of_memory_for_its_table_changes_no_byte(capsys, monkeypatch, forks):
-    # the child builds its table on its first job; when it cannot, it sends
-    # nothing, and the parent renders every block from its own table
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
+    # the table is built before any row is written: out of memory for it,
+    # apery writes nothing and builds no second table
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
-    parent, real = os.getpid(), fib_family.family_apery
+    made = []
 
     def family_apery(*args, **kwargs):
-        if os.getpid() != parent:
-            raise MemoryError
-        return real(*args, **kwargs)
+        made.append(args)
+        raise MemoryError
 
     monkeypatch.setattr(fib_family, "family_apery", family_apery)
     code, out, err = run(capsys, "apery", "12")
-    assert (code, out, err) == (EXIT_OK, (GOLDEN / "apery_12.txt").read_text(), "")
-    assert len(forks) == 1
+    assert (code, out, err) == (EXIT_RESOURCE, "", "fibsemi: out of memory\n")
+    assert len(made) == 1
+    assert forks == []
     _no_child_left()
 
 
 def test_apery_render_raising_in_the_childs_block_is_one_internal_error(
-        capsys, monkeypatch, cpus, forks):
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
+        capsys, monkeypatch, fork_or_not, forks):
     monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
     real = cli.beta
 
     def broken(x):
-        if x == 20:  # block 1, rows 16..31, the child's
+        if x == 20:  # block 1, rows 16..31, which a forked child once rendered
             raise RuntimeError("render broke at 20")
         return real(x)
 
     monkeypatch.setattr(cli, "beta", broken)
     code, out, err = run(capsys, "apery", "12", "--format", "csv")
     assert code == EXIT_INTERNAL
-    # the header and block 0 were written before block 1 was asked for
+    # the header and block 0 were written before block 1 was rendered
     assert out == "".join((GOLDEN / "apery_12.csv").read_text().splitlines(True)[:17])
     assert err == "fibsemi: internal error: RuntimeError: render broke at 20\n"
-    assert len(forks) == (cpus == 2)
-    _no_child_left()
-
-
-@pytest.mark.parametrize("k", [0, 1, 3])
-def test_apery_child_gone_after_k_blocks_changes_no_byte(capsys, monkeypatch, forks, k):
-    # the child renders blocks 1, 3, 5, 7 of apery 12's 16-row blocks, and
-    # exits as it starts block 2k + 1: the parent renders that block and the rest
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cli, "APERY_FORK_MIN_INDEX", 0)
-    monkeypatch.setattr(cli, "APERY_BLOCK_ROWS", 16)
-    parent, real = os.getpid(), cli.beta
-
-    def beta_until(x):
-        if os.getpid() != parent and x == (2 * k + 1) * 16:
-            os._exit(0)
-        return real(x)
-
-    monkeypatch.setattr(cli, "beta", beta_until)
-    code, out, err = run(capsys, "apery", "12", "--format", "json")
-    assert (code, out, err) == (EXIT_OK, (GOLDEN / "apery_12.json").read_text(), "")
-    assert len(forks) == 1
+    assert forks == []
     _no_child_left()
 
 

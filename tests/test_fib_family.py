@@ -75,12 +75,15 @@ def test_apery_reproduces_known_values():
     assert table.w == (0, 14, 15, 16, 30, 18, 32, 33, 21, 35, 36, 37, 51)
 
 
-def test_apery_small_parameters_collapse():
-    # S = N for a <= 2: one residue at modulus 1, never refused, not even by a bound of 0
+def test_apery_small_parameters_collapse(monkeypatch):
+    # S = N for a <= 2: one residue at modulus 1, never refused, not even by a
+    # bound of 0 or by one byte of physical memory
     for a in range(3):
         assert family_apery(a).w == family_apery(a, table_bound=0).w == (0,)
         assert family_apery(a, table_bound=0).n == 1
         assert family_apery_bitset(a, table_bound=0) == 1
+    _physical_memory(monkeypatch, 1)
+    assert all(family_apery(a).w == (0,) for a in range(3))
 
 
 def test_apery_table_bound_enforced():
@@ -146,16 +149,6 @@ def _sysconf_raises(error):
 def test_apery_table_is_not_refused_where_memory_is_not_reported(monkeypatch, sysconf):
     monkeypatch.setattr(fib_family.os, "sysconf", sysconf)
     assert family_apery(22).n == fib(22)
-    assert fib_family._refuse_apery_table(22, DEFAULT_TABLE_BOUND)  # a second fits too
-
-
-def test_apery_refusal_answers_whether_a_second_table_fits(monkeypatch):
-    need = fib(22) * fib_family.APERY_ENTRY_BYTES
-    for memory, two in ((need, False), (2 * need - 1, False), (2 * need, True)):
-        _physical_memory(monkeypatch, memory)
-        assert fib_family._refuse_apery_table(22, DEFAULT_TABLE_BOUND) is two
-    _physical_memory(monkeypatch, 1)  # a <= 2: one entry, never refused
-    assert all(fib_family._refuse_apery_table(a, 0) is True for a in range(3))
 
 
 def _as_bits(ws) -> int:
